@@ -4,13 +4,14 @@
    filtered report sizes across the loss bugs.
 2. SignalCat's bounded on-FPGA buffer (§7's tradeoff vs Cascade/Synergy
    unbounded off-chip logging): log completeness vs buffer size.
-3. The expression compiler: interpreted vs compiled simulation
+3. The process compiler: compiled vs reference (AST-walking) simulation
    throughput (bit-identical results, asserted by the test suite).
 """
 
 from repro.core import LossCheck, Mode, SignalCat
 from repro.hdl import elaborate, parse
 from repro.sim import Simulator
+from repro.sim.reference import ReferenceSimulator
 from repro.testbed import GROUND_TRUTH, SPECS, load_design
 from repro.testbed.scenarios import SCENARIOS
 
@@ -103,12 +104,10 @@ def test_ablation_buffer_completeness(benchmark, emit):
 
 
 def test_ablation_compiled_simulation(benchmark):
-    design = load_design("D1")
-    sim = Simulator(design, compile_expressions=True)
+    sim = Simulator(load_design("D1"))
     benchmark(lambda: sim.step(50))
 
 
-def test_ablation_interpreted_simulation(benchmark):
-    design = load_design("D1")
-    sim = Simulator(design)
+def test_ablation_reference_simulation(benchmark):
+    sim = ReferenceSimulator(load_design("D1"))
     benchmark(lambda: sim.step(50))

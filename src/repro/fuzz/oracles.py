@@ -5,8 +5,9 @@ Six oracle families, each checking a different layer of the stack:
 * **round-trip** — ``parse(codegen(parse(src)))`` must be AST-equal to
   ``parse(src)``: the parser and code generator are inverses over the
   supported subset. Violations are parser/codegen bugs.
-* **differential** — the interpreted :class:`~repro.sim.values.Evaluator`
-  and the :class:`~repro.sim.compiler.CompiledEvaluator` backends must
+* **differential** — the compiled :class:`~repro.sim.Simulator` (one
+  Python function per process, :mod:`repro.sim.compiler`) and the
+  AST-walking :class:`~repro.sim.reference.ReferenceSimulator` must
   produce bit-identical per-cycle state traces, ``$display`` logs, and
   termination behavior under the same stimulus. Violations are simulator
   backend bugs.
@@ -55,6 +56,7 @@ from ..hdl import elaborate, parse
 from ..hdl.ast_nodes import ast_diff
 from ..hdl.codegen import generate_source
 from ..sim import Simulator
+from ..sim.reference import ReferenceSimulator
 
 PASS = "pass"
 FAIL = "fail"
@@ -115,13 +117,14 @@ def build_stimulus(module, seed, cycles, clock):
     return schedule
 
 
-def simulate_trace(design, stimulus, clock, signals=None, **sim_kwargs):
+def simulate_trace(design, stimulus, clock, signals=None,
+                   simulator_class=Simulator):
     """Run *design* under *stimulus*; returns (per-cycle snapshots, sim).
 
     Each snapshot maps signal name to value (memories copied). When
     *signals* is given, snapshots are restricted to those names.
     """
-    sim = Simulator(design, **sim_kwargs)
+    sim = simulator_class(design)
     trace = []
     for vector in stimulus:
         for name, value in vector.items():
@@ -175,45 +178,32 @@ def roundtrip_oracle(text, top=None, seed=0, cycles=0):
 
 
 def differential_oracle(text, top=None, seed=0, cycles=48,
-                        compiled_factory=None):
-    """Interpreted and compiled evaluators must be bit-identical.
+                        compiled_class=Simulator):
+    """Compiled and reference simulators must be bit-identical.
 
-    ``compiled_factory`` (tests only) swaps in an alternative evaluator
-    class for the second simulation, to verify the oracle itself catches
-    a divergent backend.
+    ``compiled_class`` (tests only) stands in for the compiled
+    :class:`~repro.sim.Simulator`: a subclass with a divergent process
+    builder verifies the oracle itself catches a divergent backend.
     """
     design = elaborate(parse(text), top=top)
     clock = dominant_clock(design.top)
     stimulus = build_stimulus(design.top, seed, cycles, clock)
-    trace_interp, sim_interp = simulate_trace(design, stimulus, clock)
-    if compiled_factory is None:
-        trace_comp, sim_comp = simulate_trace(
-            design, stimulus, clock, compile_expressions=True
-        )
-    else:
-        sim_comp = Simulator(design)
-        sim_comp.evaluator = compiled_factory(sim_comp.symbols)
-        trace_comp = []
-        for vector in stimulus:
-            for name, value in vector.items():
-                sim_comp.set(name, value)
-            sim_comp.step(clock=clock)
-            trace_comp.append(
-                {
-                    name: list(v) if isinstance(v, list) else v
-                    for name, v in sim_comp.state.items()
-                }
-            )
-    divergence = _first_trace_divergence(
-        trace_interp, trace_comp, "interpreted", "compiled"
+    trace_ref, sim_ref = simulate_trace(
+        design, stimulus, clock, simulator_class=ReferenceSimulator
     )
-    if divergence is None and _display_log(sim_interp) != _display_log(sim_comp):
+    trace_comp, sim_comp = simulate_trace(
+        design, stimulus, clock, simulator_class=compiled_class
+    )
+    divergence = _first_trace_divergence(
+        trace_ref, trace_comp, "reference", "compiled"
+    )
+    if divergence is None and _display_log(sim_ref) != _display_log(sim_comp):
         divergence = "display logs differ: %r != %r" % (
-            _display_log(sim_interp)[:3], _display_log(sim_comp)[:3]
+            _display_log(sim_ref)[:3], _display_log(sim_comp)[:3]
         )
-    if divergence is None and sim_interp.finished != sim_comp.finished:
-        divergence = "finished flags differ: interpreted=%r compiled=%r" % (
-            sim_interp.finished, sim_comp.finished
+    if divergence is None and sim_ref.finished != sim_comp.finished:
+        divergence = "finished flags differ: reference=%r compiled=%r" % (
+            sim_ref.finished, sim_comp.finished
         )
     if divergence is None:
         return OracleOutcome(oracle="differential", status=PASS)

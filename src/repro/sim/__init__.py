@@ -21,7 +21,6 @@ from .simulator import (
 )
 from .testbench import Testbench
 from .values import EvaluationError, Evaluator, SymbolTable, mask
-from .vcd import dump_vcd, parse_vcd, write_vcd
 
 __all__ = [
     "Simulator",
@@ -34,7 +33,4 @@ __all__ = [
     "SymbolTable",
     "EvaluationError",
     "mask",
-    "dump_vcd",
-    "parse_vcd",
-    "write_vcd",
 ]

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .. import obs
 from ..hdl import ast_nodes as ast
 from ..hdl.elaborate import Design
 from ..hdl.transform import const_eval
-from .values import Evaluator, SymbolTable, mask, read_array, write_array
-
-
-class SimulatorError(ValueError):
-    """Raised for designs the simulator cannot execute."""
+from .compiler import compile_process, lvalue_names
+from .values import SimulatorError, SymbolTable, mask
 
 
 class CombinationalLoopError(SimulatorError):
@@ -95,28 +93,22 @@ def verilog_format(fmt, values):
     return _FORMAT_RE.sub(sub, fmt)
 
 
-class _Overlay(dict):
-    """Blocking-assignment overlay over the committed state."""
-
-    def __init__(self, base):
-        super().__init__()
-        self._base = base
-
-    def __missing__(self, key):
-        return self._base[key]
-
-    def __contains__(self, key):
-        return dict.__contains__(self, key) or key in self._base
-
-    def array(self, name):
-        """Copy-on-write access to a memory for blocking writes."""
-        if not dict.__contains__(self, name):
-            self[name] = list(self._base[name])
-        return self[name]
+def _snapshotter(names):
+    """``f(state) -> tuple`` of the values of *names*, in order."""
+    if len(names) == 1:
+        (name,) = names
+        return lambda state: (state[name],)
+    if not names:
+        return lambda state: ()
+    return itemgetter(*names)
 
 
 class Simulator:
     """Simulates one elaborated :class:`~repro.hdl.elaborate.Design`.
+
+    Each process (continuous assign, ``always`` block, blackbox instance)
+    is compiled once, at construction, into a Python function by
+    :mod:`repro.sim.compiler`; settle and clock edges call those.
 
     Parameters
     ----------
@@ -131,8 +123,7 @@ class Simulator:
         string ``"all"``); see :attr:`waveform`.
     """
 
-    def __init__(self, design, ips=None, max_settle=100, trace=None,
-                 compile_expressions=False):
+    def __init__(self, design, ips=None, max_settle=100, trace=None):
         if isinstance(design, Design):
             module = design.top
         elif isinstance(design, ast.Module):
@@ -142,12 +133,6 @@ class Simulator:
         self.module = module
         self.symbols = SymbolTable(module)
         self.state = self.symbols.initial_state()
-        if compile_expressions:
-            from .compiler import CompiledEvaluator
-
-            self.evaluator = CompiledEvaluator(self.symbols)
-        else:
-            self.evaluator = Evaluator(self.symbols)
         self.cycle = 0
         self.finished = False
         self.display_events = []
@@ -166,6 +151,7 @@ class Simulator:
         self._instances = []
         self._classify_items(module)
         self._bind_ips(ips)
+        self._build_processes()
         if trace == "all":
             trace = [
                 name
@@ -217,6 +203,36 @@ class Simulator:
             params = {p.name: const_eval(p.value) for p in inst.params}
             self._ip_models[inst.instance_name] = factories[inst.module_name](params)
 
+    def _build_process(self, item):
+        """The callable for one process (see :func:`compile_process`)."""
+        return compile_process(self, item)
+
+    def _build_processes(self):
+        comb_procs = [self._build_process(item) for item in self._comb_items]
+        ip_procs = [self._build_process(inst) for inst in self._instances]
+        # One settle pass: every comb item, then every IP's outputs.
+        self._settle_procs = comb_procs + [settle for settle, _ in ip_procs]
+        self._ip_inputs = [inputs for _, inputs in ip_procs]
+        self._seq_procs = [self._build_process(b) for b in self._seq_blocks]
+        # Only these scalars can change during a settle pass (plus forced
+        # nets), so only they are snapshotted for the convergence test.
+        written = set()
+        for item in self._comb_items:
+            written |= lvalue_names(item)
+        for inst in self._instances:
+            for conn in inst.ports:
+                if conn.expr is not None:
+                    written.update(
+                        n.name
+                        for n in conn.expr.walk()
+                        if isinstance(n, ast.Identifier)
+                    )
+        watched = sorted(
+            name for name in written if self.symbols.depths.get(name) == 0
+        )
+        self._watched = watched, _snapshotter(watched)
+        self._edge_plans = {}
+
     def ip_model(self, instance_name):
         """Return the bound Python model for a blackbox instance."""
         return self._ip_models[instance_name]
@@ -251,32 +267,22 @@ class Simulator:
         ``next = state; case (state) ... next = X;``) but ends where it
         started has converged.
         """
-        before = {}
+        state = self.state
+        procs = self._settle_procs
+        names, snapshot = self._watched
+        before = ()
         array_writes = False
         for iteration in range(1, self._max_settle + 1):
-            before = {
-                name: value
-                for name, value in self.state.items()
-                if not isinstance(value, list)
-            }
+            if self.forced:
+                names, snapshot = self._forced_watch(state)
+            before = snapshot(state)
             array_writes = False
-            for item in self._comb_items:
-                if isinstance(item, ast.ContinuousAssign):
-                    value = self.evaluator.eval(
-                        item.rhs, self.state, self._lhs_width(item.lhs)
-                    )
-                    array_writes |= self._comb_write(item.lhs, value)
-                else:
-                    array_writes |= self._exec_comb(item.body)
-            for inst in self._instances:
-                for conn, value in self._ip_output_values(inst):
-                    array_writes |= self._comb_write(conn, value)
+            for proc in procs:
+                if proc(state):
+                    array_writes = True
             if self.forced:
                 self._apply_forced()
-            changed = array_writes or any(
-                self.state[name] != value for name, value in before.items()
-            )
-            if not changed:
+            if not array_writes and snapshot(state) == before:
                 if obs.enabled:
                     obs.histogram("sim.settle_iterations").observe(iteration)
                     if self._comb_items:
@@ -290,8 +296,8 @@ class Simulator:
                 return
         unstable = sorted(
             name
-            for name, value in before.items()
-            if self.state[name] != value
+            for name, value in zip(names, before)
+            if state[name] != value
         )
         if array_writes:
             unstable.append("<memory writes>")
@@ -301,59 +307,20 @@ class Simulator:
             % (self._max_settle, ", ".join(unstable) or "<none observed>")
         )
 
-    def _comb_write(self, lhs, value):
-        """Combinational write; returns True only for memory writes."""
-        is_array = (
-            isinstance(lhs, ast.Index)
-            and isinstance(lhs.var, ast.Identifier)
-            and self.symbols.is_array(lhs.var.name)
-        )
-        changed = self._write(lhs, value, self.state)
-        return changed and is_array
-
-    def _ip_output_values(self, inst):
-        model = self._ip_models[inst.instance_name]
-        inputs = self._ip_inputs(inst, model)
-        outputs = model.outputs(inputs)
-        for conn in inst.ports:
-            if conn.port in outputs and conn.expr is not None:
-                yield conn.expr, outputs[conn.port]
-
-    def _exec_comb(self, stmt):
-        """Execute a combinational statement; returns True on array writes."""
-        changed = False
-        if isinstance(stmt, ast.Block):
-            for inner in stmt.statements:
-                changed |= self._exec_comb(inner)
-            return changed
-        if isinstance(stmt, (ast.BlockingAssign, ast.NonblockingAssign)):
-            value = self.evaluator.eval(
-                stmt.rhs, self.state, self._lhs_width(stmt.lhs)
-            )
-            return self._comb_write(stmt.lhs, value)
-        if isinstance(stmt, ast.If):
-            if self.evaluator.eval(stmt.cond, self.state):
-                return self._exec_comb(stmt.then_stmt)
-            if stmt.else_stmt is not None:
-                return self._exec_comb(stmt.else_stmt)
-            return False
-        if isinstance(stmt, ast.Case):
-            arm = self._select_case_arm(stmt, self.state)
-            if arm is not None:
-                return self._exec_comb(arm)
-            return False
-        if isinstance(stmt, ast.Finish):
-            self.finished = True
-            return False
-        raise SimulatorError("unsupported combinational statement %r" % (stmt,))
-
-    def _ip_inputs(self, inst, model):
-        inputs = {}
-        for conn in inst.ports:
-            if conn.port in model.OUTPUT_PORTS or conn.expr is None:
-                continue
-            inputs[conn.port] = self.evaluator.eval(conn.expr, self.state)
-        return inputs
+    def _forced_watch(self, state):
+        """The settle snapshot widened by forced scalar nets."""
+        names, snapshot = self._watched
+        extra = [
+            name
+            for name in self.forced
+            if name not in names
+            and name in state
+            and not isinstance(state[name], list)
+        ]
+        if not extra:
+            return names, snapshot
+        names = names + extra
+        return names, _snapshotter(names)
 
     # -- clocked execution -----------------------------------------------------
 
@@ -379,210 +346,79 @@ class Simulator:
         self._record_trace()
         self._edge(clock, ast.Edge.POSEDGE)
         self.settle()
-        negedge_blocks = [
-            block
-            for block in self._seq_blocks
-            if self._triggered(block, clock, ast.Edge.NEGEDGE)
-        ]
-        if negedge_blocks:
+        if self._edge_plan(clock, ast.Edge.NEGEDGE)[0]:
             self._edge(clock, ast.Edge.NEGEDGE)
             self.settle()
         self.cycle += 1
         if obs.enabled:
             obs.counter("sim.cycles").inc()
 
-    def _triggered(self, block, clock, edge):
-        return any(
-            item.edge is edge and item.signal == clock for item in block.sens
-        )
+    def _edge_plan(self, clock, edge):
+        """(triggered block processes, [(model, inputs, fired ports)])."""
+        plan = self._edge_plans.get((clock, edge))
+        if plan is None:
+            blocks = [
+                proc
+                for block, proc in zip(self._seq_blocks, self._seq_procs)
+                if any(
+                    item.edge is edge and item.signal == clock
+                    for item in block.sens
+                )
+            ]
+            ips = []
+            for inst, inputs in zip(self._instances, self._ip_inputs):
+                model = self._ip_models[inst.instance_name]
+                fired = frozenset(
+                    conn.port
+                    for conn in inst.ports
+                    if conn.port in model.CLOCK_PORTS
+                    and isinstance(conn.expr, ast.Identifier)
+                    and conn.expr.name == clock
+                )
+                if fired:
+                    ips.append((model, inputs, fired))
+            plan = self._edge_plans[(clock, edge)] = (blocks, ips)
+        return plan
 
     def _edge(self, clock, edge):
+        blocks, ips = self._edge_plan(clock, edge)
+        state = self.state
         pending = []
-        for block in self._seq_blocks:
-            if not self._triggered(block, clock, edge):
-                continue
-            overlay = _Overlay(self.state)
-            self._exec_seq(block.body, overlay, pending)
-        for inst in self._instances:
-            model = self._ip_models[inst.instance_name]
-            fired = self._fired_clock_ports(inst, model, clock)
-            if fired:
-                model.clock_edge(self._ip_inputs(inst, model), fired)
-                if obs.enabled:
-                    obs.counter("sim.ip_calls").inc()
+        for proc in blocks:
+            proc(state, pending)
+        for model, inputs, fired in ips:
+            model.clock_edge(inputs(state), fired)
+            if obs.enabled:
+                obs.counter("sim.ip_calls").inc()
         self._commit(pending)
 
-    def _fired_clock_ports(self, inst, model, clock):
-        fired = set()
-        for conn in inst.ports:
-            if conn.port not in model.CLOCK_PORTS or conn.expr is None:
-                continue
-            if isinstance(conn.expr, ast.Identifier) and conn.expr.name == clock:
-                fired.add(conn.port)
-        return fired
-
-    def _exec_seq(self, stmt, overlay, pending):
-        if isinstance(stmt, ast.Block):
-            for inner in stmt.statements:
-                self._exec_seq(inner, overlay, pending)
-            return
-        if isinstance(stmt, ast.BlockingAssign):
-            value = self.evaluator.eval(stmt.rhs, overlay, self._lhs_width(stmt.lhs))
-            self._write(stmt.lhs, value, overlay, blocking=True)
-            return
-        if isinstance(stmt, ast.NonblockingAssign):
-            value = self.evaluator.eval(stmt.rhs, overlay, self._lhs_width(stmt.lhs))
-            pending.append((stmt.lhs, value, overlay))
-            return
-        if isinstance(stmt, ast.If):
-            if self.evaluator.eval(stmt.cond, overlay):
-                self._exec_seq(stmt.then_stmt, overlay, pending)
-            elif stmt.else_stmt is not None:
-                self._exec_seq(stmt.else_stmt, overlay, pending)
-            return
-        if isinstance(stmt, ast.Case):
-            arm = self._select_case_arm(stmt, overlay)
-            if arm is not None:
-                self._exec_seq(arm, overlay, pending)
-            return
-        if isinstance(stmt, ast.Display):
-            values = [self.evaluator.eval(arg, overlay) for arg in stmt.args]
-            event = DisplayEvent(
-                cycle=self.cycle,
-                text=verilog_format(stmt.format, values),
-                values=values,
-                lineno=stmt.lineno,
-                label=stmt.label,
-                format=stmt.format,
-            )
-            self.display_events.append(event)
-            if obs.enabled:
-                obs.counter("sim.display_events").inc()
-            if self.on_display is not None:
-                self.on_display(event)
-            return
-        if isinstance(stmt, ast.Finish):
-            self.finished = True
-            return
-        raise SimulatorError("unsupported sequential statement %r" % (stmt,))
-
-    def _select_case_arm(self, stmt, state):
-        subject = self.evaluator.eval(stmt.subject, state)
-        default = None
-        for item in stmt.items:
-            if not item.labels:
-                default = item.stmt
-                continue
-            for label in item.labels:
-                if self.evaluator.eval(label, state) == subject:
-                    return item.stmt
-        return default
-
     def _commit(self, pending):
-        for lhs, value, overlay in pending:
-            self._write_pending(lhs, value, overlay)
+        # Each entry is (writer, value, overlay). A writer is a scalar's
+        # name (value already masked) or a callable that evaluates the
+        # lvalue's indices now, against the block's overlay, per
+        # nonblocking semantics.
+        state = self.state
+        for writer, value, overlay in pending:
+            if writer.__class__ is str:
+                state[writer] = value
+            else:
+                writer(state, overlay, value)
 
-    def _write_pending(self, lhs, value, overlay):
-        # Index expressions in the lvalue were captured against the overlay
-        # (pre-commit) state, per nonblocking semantics.
-        self._write(lhs, value, self.state, index_state=overlay)
-
-    # -- lvalue handling -----------------------------------------------------------
-
-    def _lhs_width(self, lhs):
-        symbols = self.symbols
-        if isinstance(lhs, ast.Identifier):
-            return symbols.width_of(lhs.name)
-        if isinstance(lhs, ast.Index):
-            base = ast.lvalue_base_name(lhs)
-            if symbols.is_array(base) and isinstance(lhs.var, ast.Identifier):
-                return symbols.width_of(base)
-            return 1
-        if isinstance(lhs, ast.PartSelect):
-            return const_eval(lhs.msb) - const_eval(lhs.lsb) + 1
-        if isinstance(lhs, ast.IndexedPartSelect):
-            return const_eval(lhs.width)
-        if isinstance(lhs, ast.Concat):
-            return sum(self._lhs_width(p) for p in lhs.parts)
-        raise SimulatorError("unsupported lvalue %r" % (lhs,))
-
-    def _write(self, lhs, value, state, blocking=False, index_state=None):
-        """Write *value* into *state* at lvalue *lhs*; returns True on change.
-
-        ``index_state`` (defaults to *state*) is where lvalue index
-        expressions are evaluated — for nonblocking commits these were
-        captured pre-commit.
-        """
-        if index_state is None:
-            index_state = state
-        symbols = self.symbols
-        if isinstance(lhs, ast.Identifier):
-            name = lhs.name
-            if symbols.is_array(name):
-                raise SimulatorError("cannot assign whole memory %r" % name)
-            new = value & mask(symbols.width_of(name))
-            old = state[name] if not isinstance(state, _Overlay) else state[name]
-            if blocking or isinstance(state, _Overlay):
-                state[name] = new
-                return old != new
-            if state[name] != new:
-                state[name] = new
-                return True
-            return False
-        if isinstance(lhs, ast.Index):
-            base = ast.lvalue_base_name(lhs)
-            index = self.evaluator.eval(lhs.index, index_state)
-            if symbols.is_array(base) and isinstance(lhs.var, ast.Identifier):
-                depth = symbols.depth_of(base)
-                if isinstance(state, _Overlay):
-                    values = state.array(base)
-                else:
-                    values = state[base]
-                new = value & mask(symbols.width_of(base))
-                old = read_array(values, index, depth)
-                landed = write_array(values, index, depth, new)
-                return landed and old != new
-            old = state[base]
-            new = (old & ~(1 << index)) | ((value & 1) << index)
-            state[base] = new & mask(symbols.width_of(base))
-            return old != state[base]
-        if isinstance(lhs, ast.PartSelect):
-            base = ast.lvalue_base_name(lhs)
-            msb = const_eval(lhs.msb)
-            lsb = const_eval(lhs.lsb)
-            width = msb - lsb + 1
-            old = state[base]
-            new = (old & ~(mask(width) << lsb)) | ((value & mask(width)) << lsb)
-            new &= mask(symbols.width_of(base))
-            state[base] = new
-            return old != new
-        if isinstance(lhs, ast.IndexedPartSelect):
-            base = ast.lvalue_base_name(lhs)
-            start = self.evaluator.eval(lhs.base, index_state)
-            width = const_eval(lhs.width)
-            lsb = start if lhs.ascending else start - width + 1
-            if lsb < 0:
-                return False
-            old = state[base]
-            new = (old & ~(mask(width) << lsb)) | ((value & mask(width)) << lsb)
-            new &= mask(symbols.width_of(base))
-            state[base] = new
-            return old != new
-        if isinstance(lhs, ast.Concat):
-            changed = False
-            shift = sum(self._lhs_width(p) for p in lhs.parts)
-            for part in lhs.parts:
-                width = self._lhs_width(part)
-                shift -= width
-                changed |= self._write(
-                    part,
-                    (value >> shift) & mask(width),
-                    state,
-                    blocking=blocking,
-                    index_state=index_state,
-                )
-            return changed
-        raise SimulatorError("unsupported lvalue %r" % (lhs,))
+    def _emit_display(self, fmt, values, lineno, label):
+        """Record one executed ``$display``."""
+        event = DisplayEvent(
+            cycle=self.cycle,
+            text=verilog_format(fmt, values),
+            values=values,
+            lineno=lineno,
+            label=label,
+            format=fmt,
+        )
+        self.display_events.append(event)
+        if obs.enabled:
+            obs.counter("sim.display_events").inc()
+        if self.on_display is not None:
+            self.on_display(event)
 
     # -- tracing -------------------------------------------------------------------
 

@@ -23,6 +23,10 @@ class EvaluationError(ValueError):
     """Raised when an expression cannot be evaluated against the design."""
 
 
+class SimulatorError(ValueError):
+    """Raised for designs the simulator cannot execute."""
+
+
 def mask(width):
     """Bit mask for *width* bits."""
     if width < 0:
@@ -143,6 +147,26 @@ def write_array(values, index, depth, value):
         values[index & (depth - 1)] = value
         return True
     return False
+
+
+class Overlay(dict):
+    """Blocking-assignment overlay over the committed state."""
+
+    def __init__(self, base):
+        super().__init__()
+        self._base = base
+
+    def __missing__(self, key):
+        return self._base[key]
+
+    def __contains__(self, key):
+        return dict.__contains__(self, key) or key in self._base
+
+    def array(self, name):
+        """Copy-on-write access to a memory for blocking writes."""
+        if not dict.__contains__(self, name):
+            self[name] = list(self._base[name])
+        return self[name]
 
 
 class Evaluator:

@@ -3,8 +3,6 @@
 The paper motivates its tools against "inspecting a massive waveform";
 this module produces that baseline artifact (openable in GTKWave & co.)
 and parses it back, so traces round-trip through the standard format.
-Home of the writer that used to live in ``repro.sim.vcd`` — that module
-re-exports :func:`dump_vcd`/:func:`write_vcd` for back compatibility.
 
 Beyond the original writer this version:
 

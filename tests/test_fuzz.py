@@ -1,6 +1,7 @@
 """Tests for the repro.fuzz subsystem: generator, mutator, oracles,
 reducer, campaign runner, and the `python -m repro fuzz` CLI."""
 
+import copy
 import glob
 import os
 import signal
@@ -27,7 +28,6 @@ from repro.fuzz.runner import case_spec, oracle_signature, run_case
 from repro.hdl import ast, ast_diff, ast_equal, elaborate, parse
 from repro.hdl.codegen import generate_source
 from repro.sim import Simulator
-from repro.sim.values import Evaluator
 
 DESIGN_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "repro", "testbed", "designs"
@@ -190,14 +190,21 @@ class TestRoundtripOracle:
         assert roundtrip_oracle("module m (); wire x; endmodule").status == "pass"
 
 
-class _OffByOneAdd(Evaluator):
-    """Deliberately broken backend: every addition is off by one."""
+class _OffByOneAdd(Simulator):
+    """Deliberately broken backend: every compiled addition is off by one."""
 
-    def _eval_binary(self, expr, state, ctx_width):
-        value = super()._eval_binary(expr, state, ctx_width)
-        if expr.op == "+":
-            value ^= 1
-        return value
+    def _build_process(self, item):
+        item = copy.deepcopy(item)
+        adds = [
+            node
+            for node in item.walk()
+            if isinstance(node, ast.BinaryOp) and node.op == "+"
+        ]
+        for node in adds:
+            node.left = ast.BinaryOp(op="+", left=node.left, right=node.right)
+            node.op = "^"
+            node.right = ast.Number(value=1, width=1)
+        return super()._build_process(item)
 
 
 class TestDifferentialOracle:
@@ -217,7 +224,7 @@ class TestDifferentialOracle:
 
     def test_seeded_bad_backend_fails(self):
         outcome = differential_oracle(
-            self.GOOD, seed=1, cycles=16, compiled_factory=_OffByOneAdd
+            self.GOOD, seed=1, cycles=16, compiled_class=_OffByOneAdd
         )
         assert outcome.status == "fail"
         assert "signal" in outcome.detail

@@ -126,35 +126,6 @@ class TestVCDWriter:
         assert parsed == waveform
         assert parsed_widths == widths
 
-    def test_backcompat_reexports(self):
-        from repro.sim import dump_vcd as sim_dump
-        from repro.sim import write_vcd as sim_write
-        from repro.sim.vcd import dump_vcd as module_dump
-        from repro.wave.vcd import dump_vcd as wave_dump
-
-        assert sim_dump is module_dump
-        assert sim_dump.__wrapped__ is wave_dump
-        assert sim_write is not None
-
-    def test_backcompat_shim_warns_at_call_time(self):
-        import warnings
-
-        from repro.sim.vcd import dump_vcd as deprecated_dump
-        from repro.sim.vcd import parse_vcd as deprecated_parse
-
-        with pytest.warns(DeprecationWarning, match="repro.wave.vcd"):
-            text = deprecated_dump({"a": [0, 1]}, {"a": 1})
-        with pytest.warns(DeprecationWarning, match="repro.wave.vcd"):
-            waveform, widths = deprecated_parse(text)
-        assert waveform == {"a": [0, 1]}
-        # The wrapped originals stay warning-free: repro.sim re-exports
-        # the shim eagerly, so only *calls* through it may warn.
-        from repro.wave.vcd import dump_vcd as wave_dump
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            wave_dump({"a": [0]}, {"a": 1})
-
 
 class TestVCDRoundTrip:
     def test_dump_parse_trace_equality(self):
