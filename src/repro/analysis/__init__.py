@@ -1,7 +1,8 @@
 """Static analyses over elaborated designs.
 
 * :mod:`repro.analysis.assignments` — assignments + path constraints;
-* :mod:`repro.analysis.depgraph` — register dependency graphs (§4.3);
+* :mod:`repro.analysis.depgraph` — k-cycle register dependency chains
+  over :class:`repro.flow.SignalGraph` (§4.3);
 * :mod:`repro.analysis.fsm_detect` — FSM detection heuristics (§4.2);
 * :mod:`repro.analysis.propagation` — data-propagation relations (§4.5.1);
 * :mod:`repro.analysis.ip_models` — declarative blackbox IP models (§5).

@@ -1,15 +1,12 @@
 """Register dependency graphs (Dependency Monitor's static half, §4.3).
 
-Builds a :class:`networkx.MultiDiGraph` whose nodes are signals and whose
-edges ``src -> dst`` mean "an assignment to *dst* reads *src*". Edge
-attributes record:
-
-* ``kind``: ``"data"`` (src appears in the assigned expression) or
-  ``"control"`` (src appears in the path constraint);
-* ``cycles``: 1 for sequential (clocked) assignments, 0 for combinational
-  ones — so "registers that may propagate to v within the previous k
-  cycles" is a shortest-path query;
-* ``record``: the originating :class:`AssignmentRecord`.
+A view of :func:`repro.flow.build_signal_graph` as ``{dst: [(src,
+cycles)]}``: each entry means "an assignment to *dst* reads *src*", and
+``cycles`` is the edge's latency — 1 for sequential (clocked)
+assignments, 0 for combinational ones, the model's latency through a
+blackbox IP. "Registers that may propagate to v within the previous k
+cycles" is then a shortest-path query. Data and index reads are always
+edges; path-constraint (control) reads only when asked for.
 
 Blackbox IPs contribute edges through developer-provided
 :class:`~repro.analysis.ip_models.IPAnalysisModel` (§4.3: "To track
@@ -21,11 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from ..flow.graph import build_signal_graph
 from ..hdl import ast_nodes as ast
-from .assignments import analyze_module
-from .ip_models import DEFAULT_IP_MODELS
 
 
 @dataclass
@@ -44,83 +38,46 @@ class DependencyChain:
 
 
 def build_dependency_graph(module, include_control=True, ip_models=None):
-    """Build the dependency MultiDiGraph for an elaborated flat module."""
-    graph = nx.MultiDiGraph()
-    view = analyze_module(module)
-    for decl in module.declarations():
-        graph.add_node(decl.name)
-    for record in view.assignments:
-        cycles = 1 if record.sequential else 0
-        for src in record.data_sources:
-            graph.add_edge(src, record.target, kind="data", cycles=cycles,
-                           record=record)
-        if include_control:
-            for src in record.control_sources:
-                graph.add_edge(src, record.target, kind="control", cycles=cycles,
-                               record=record)
-    _add_ip_edges(graph, module, ip_models)
-    return graph
-
-
-def _add_ip_edges(graph, module, ip_models):
-    models = dict(DEFAULT_IP_MODELS)
-    if ip_models:
-        models.update(ip_models)
-    for item in module.items:
-        if not isinstance(item, ast.Instance):
+    """``{dst: [(src, cycles)]}`` for an elaborated flat module."""
+    graph = build_signal_graph(module, ip_models=ip_models)
+    if graph.unmodeled:
+        blackbox = next(
+            item.module_name for item in module.items
+            if isinstance(item, ast.Instance)
+            and item.instance_name in graph.unmodeled
+        )
+        raise KeyError(
+            "no IP analysis model for blackbox %r; provide one via "
+            "ip_models (see repro.analysis.ip_models)" % blackbox
+        )
+    incoming = {}
+    for edge in graph.edges:
+        if edge.kind == "control" and not include_control:
             continue
-        model = models.get(item.module_name)
-        if model is None:
-            raise KeyError(
-                "no IP analysis model for blackbox %r; provide one via "
-                "ip_models (see repro.analysis.ip_models)" % item.module_name
-            )
-        connections = {
-            conn.port: conn.expr for conn in item.ports if conn.expr is not None
-        }
-        for flow in model.flows:
-            src_expr = connections.get(flow.src_port)
-            dst_expr = connections.get(flow.dst_port)
-            if src_expr is None or dst_expr is None:
-                continue
-            src_names = [
-                n.name for n in src_expr.walk() if isinstance(n, ast.Identifier)
-            ]
-            dst_names = ast.lvalue_base_names(dst_expr)
-            for src in src_names:
-                for dst in dst_names:
-                    graph.add_edge(
-                        src,
-                        dst,
-                        kind="data",
-                        cycles=flow.latency,
-                        record=None,
-                        ip=item.instance_name,
-                    )
-    return graph
+        incoming.setdefault(edge.dst, []).append((edge.src, edge.latency))
+    return incoming
 
 
 def dependency_chain(module, target, depth, include_control=True, ip_models=None):
     """Registers that may propagate to *target* within *depth* cycles.
 
     Implements Dependency Monitor's static analysis: a backward
-    shortest-path sweep where clocked hops cost one cycle and
-    combinational hops cost zero. Returns a :class:`DependencyChain`.
+    shortest-path sweep where each hop costs its edge's latency
+    (clocked hops one cycle, combinational hops zero). Returns a
+    :class:`DependencyChain`.
     """
-    graph = build_dependency_graph(
+    incoming = build_dependency_graph(
         module, include_control=include_control, ip_models=ip_models
     )
-    if target not in graph:
+    if module.find_declaration(target) is None:
         raise KeyError("unknown signal %r" % target)
-    reverse = graph.reverse(copy=False)
     distances = {target: 0}
     frontier = [target]
     while frontier:
         next_frontier = []
         for node in frontier:
             base = distances[node]
-            for _, src, data in reverse.edges(node, data=True):
-                cost = data.get("cycles", 1)
+            for src, cost in incoming.get(node, ()):
                 total = base + cost
                 if total > depth:
                     continue

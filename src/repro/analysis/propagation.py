@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..flow.solver import between
 from ..hdl import ast_nodes as ast
 from ..hdl.parser import parse_expression
 from ..hdl.codegen import generate_expression
@@ -73,22 +74,10 @@ class PropagationTable:
         Returns the set of names reachable from source and co-reachable
         to sink (inclusive of both endpoints).
         """
-        forward = _closure(self.relations, source, lambda r: (r.src, r.dst))
-        backward = _closure(self.relations, sink, lambda r: (r.dst, r.src))
-        return forward & backward
-
-
-def _closure(relations, start, key):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for relation in relations:
-            src, dst = key(relation)
-            if src == node and dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return seen
+        edges = {}
+        for relation in self.relations:
+            edges.setdefault(relation.src, set()).add(relation.dst)
+        return between(edges, source, sink)
 
 
 def instantiate_condition(template, connections):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ..hdl import ast_nodes as ast
 from ..analysis.assignments import analyze_module
 from ..analysis.ip_models import DEFAULT_IP_MODELS
-from .solver import reachable
+from .solver import between
 
 #: Binary operators whose result still carries operand payload bits.
 _PAYLOAD_BINOPS = frozenset(
@@ -252,10 +252,4 @@ def payload_slice(module, source, sink, view=None, ip_models=None):
     restricts monitoring to. Empty when no payload path exists.
     """
     edges = payload_register_graph(module, view=view, ip_models=ip_models)
-    forward = set(reachable(edges, source))
-    inverse = {}
-    for src, dsts in edges.items():
-        for dst in dsts:
-            inverse.setdefault(dst, set()).add(src)
-    backward = set(reachable(inverse, sink))
-    return sorted(forward & backward)
+    return sorted(between(edges, source, sink))

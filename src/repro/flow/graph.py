@@ -16,6 +16,10 @@ Each edge is labeled with how the value flows:
   steers the path constraint), or ``index`` (only selects a location);
 * ``sequential`` / ``clock`` / ``blocking`` — the driving assignment's
   timing;
+* ``latency`` — cycles the value takes to cross the edge: 0 for a
+  combinational assignment, 1 for a clocked one, the model's
+  :attr:`~repro.analysis.ip_models.IPFlow.latency` through a blackbox
+  (``altsyncram`` data→q takes 2);
 * ``via_ip`` — instance name when the edge goes through a blackbox.
 """
 
@@ -41,6 +45,7 @@ class FlowEdge:
     blocking: bool = False
     lineno: int = 0
     via_ip: str = None
+    latency: int = 0
 
 
 @dataclass
@@ -86,50 +91,31 @@ def build_signal_graph(module, view=None, ip_models=None):
     view = view or analyze_module(module)
     graph = SignalGraph(module=module, view=view)
     for record in view.assignments:
-        index_names = set(_index_sources(record))
-        rhs_names = set()
-        for node in record.rhs.walk():
-            if isinstance(node, ast.Identifier):
-                rhs_names.add(node.name)
-        seen = set()
-        for name in sorted(rhs_names):
-            seen.add(name)
-            graph.edges.append(
-                FlowEdge(
-                    src=name,
-                    dst=record.target,
-                    kind="data",
-                    sequential=record.sequential,
-                    clock=record.clock,
-                    blocking=record.blocking,
-                    lineno=record.lineno,
+        rhs_names = {
+            node.name
+            for node in record.rhs.walk()
+            if isinstance(node, ast.Identifier)
+        }
+        index_names = set(_index_sources(record)) - rhs_names
+        control_names = set(record.control_sources) - rhs_names - index_names
+        for kind, names in (
+            ("data", rhs_names),
+            ("index", index_names),
+            ("control", control_names),
+        ):
+            for name in sorted(names):
+                graph.edges.append(
+                    FlowEdge(
+                        src=name,
+                        dst=record.target,
+                        kind=kind,
+                        sequential=record.sequential,
+                        clock=record.clock,
+                        blocking=record.blocking,
+                        lineno=record.lineno,
+                        latency=1 if record.sequential else 0,
+                    )
                 )
-            )
-        for name in sorted(index_names - seen):
-            seen.add(name)
-            graph.edges.append(
-                FlowEdge(
-                    src=name,
-                    dst=record.target,
-                    kind="index",
-                    sequential=record.sequential,
-                    clock=record.clock,
-                    blocking=record.blocking,
-                    lineno=record.lineno,
-                )
-            )
-        for name in sorted(set(record.control_sources) - seen):
-            graph.edges.append(
-                FlowEdge(
-                    src=name,
-                    dst=record.target,
-                    kind="control",
-                    sequential=record.sequential,
-                    clock=record.clock,
-                    blocking=record.blocking,
-                    lineno=record.lineno,
-                )
-            )
     _add_ip_edges(graph, module, ip_models)
     return graph
 
@@ -180,6 +166,7 @@ def _add_ip_edges(graph, module, ip_models):
                             clock=clock,
                             lineno=item.lineno,
                             via_ip=item.instance_name,
+                            latency=flow.latency,
                         )
                     )
     graph.unmodeled.sort()

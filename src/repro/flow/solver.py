@@ -106,3 +106,17 @@ def reachable(edges, start):
                 seen.add(dst)
                 frontier.append(dst)
     return sorted(seen)
+
+
+def between(edges, source, sink):
+    """Nodes on some *source*→*sink* path over ``{src: iterable(dst)}``.
+
+    Forward closure of *source* intersected with the backward closure of
+    *sink*; both endpoints are included whenever a path exists. Returns
+    a set (empty when no path exists).
+    """
+    inverse = {}
+    for src, dsts in edges.items():
+        for dst in dsts:
+            inverse.setdefault(dst, set()).add(src)
+    return set(reachable(edges, source)) & set(reachable(inverse, sink))

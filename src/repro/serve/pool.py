@@ -99,6 +99,9 @@ class _WorkerSlot:
             proc.kill()
 
     def _spawn(self, respawn):
+        """Start a worker and wait for its ready line, so the fresh
+        interpreter's imports never run inside a job's watchdog window.
+        Returns False when the worker exited before it was ready."""
         if respawn:
             self.pool._count("worker_restarts")
         self.proc = subprocess.Popen(
@@ -108,6 +111,7 @@ class _WorkerSlot:
             text=True,
             bufsize=1,
         )
+        return bool(self.proc.stdout.readline())
 
     def _run(self):
         pool = self.pool
@@ -117,8 +121,9 @@ class _WorkerSlot:
             if job is _SENTINEL or pool.closed:
                 break
             pool._gauge_depth()
+            ready = True
             if self.proc is None or self.proc.poll() is not None:
-                self._spawn(respawn=ever_spawned)
+                ready = self._spawn(respawn=ever_spawned)
                 ever_spawned = True
             proc = self.proc
             lease = pool.leases.grant(job.id)
@@ -139,10 +144,13 @@ class _WorkerSlot:
                 "epoch": lease.epoch,
             }, sort_keys=True)
             try:
+                if not ready:
+                    raise BrokenPipeError("worker exited before ready")
                 proc.stdin.write(request + "\n")
                 proc.stdin.flush()
             except (BrokenPipeError, OSError):
-                # Worker died between jobs: burn no watchdog, requeue.
+                # Worker died before or between jobs: burn no watchdog,
+                # requeue.
                 self.proc = None
                 pool.abandon(job, lease.epoch)
                 continue

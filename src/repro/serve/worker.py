@@ -3,7 +3,9 @@
 Two entry points share one execution core (:func:`run_one`):
 
 * :func:`main` — spawned as ``python -m repro.serve.worker`` by the
-  subprocess pool; one JSON object per line over stdin/stdout:
+  subprocess pool; it first writes one ``{"ready": true}`` line once
+  its imports are done, so interpreter startup is never charged to a
+  job's deadline, then one JSON object per line over stdin/stdout:
 
   request::
 
@@ -107,6 +109,7 @@ def run_one(request, deadline=None):
 def main(stdin=None, stdout=None):
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
+    _respond(stdout, {"ready": True})
     for line in stdin:
         line = line.strip()
         if not line:

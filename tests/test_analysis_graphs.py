@@ -1,5 +1,11 @@
 """Tests for dependency graphs, FSM detection, and propagation relations."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -9,8 +15,14 @@ from repro.analysis import (
     detect_fsms,
     instantiate_condition,
 )
+from repro.core.dependency_monitor import DependencyMonitor
 from repro.hdl import elaborate, parse, parse_expression
 from repro.hdl.codegen import generate_expression
+from repro.hdl.elaborate import DEFAULT_BLACKBOXES
+from repro.testbed.debug_configs import CONFIGS
+from repro.testbed.harness import load_design
+
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def top_of(text, top=None):
@@ -88,9 +100,82 @@ class TestDependencyChain:
 
     def test_graph_edge_attributes(self):
         graph = build_dependency_graph(top_of(self.PIPE))
-        edge = list(graph.get_edge_data("s1", "s2").values())[0]
-        assert edge["kind"] == "data"
-        assert edge["cycles"] == 1
+        assert graph["s2"] == [("s1", 1)]
+        assert "x" not in graph  # inputs have no incoming edges
+
+    def test_altsyncram_data_takes_two_cycles(self):
+        module = top_of(
+            """
+            module m (input wire clk, input wire [3:0] addr,
+                      input wire [7:0] d, input wire we,
+                      output wire [7:0] q);
+                altsyncram #(.WIDTH_A(8), .NUMWORDS_A(16)) ram (
+                    .clock0(clk), .address_a(addr), .data_a(d),
+                    .wren_a(we), .q_a(q)
+                );
+            endmodule
+            """
+        )
+        assert dependency_chain(module, "q", 1).distances == {
+            "q": 0, "addr": 1
+        }
+        assert dependency_chain(module, "q", 2).distances == {
+            "q": 0, "addr": 1, "d": 2
+        }
+
+    def test_unmodeled_blackbox_rejected(self):
+        module = elaborate(
+            parse(
+                "module m (input wire clk, input wire [7:0] d,"
+                " output wire [7:0] q);"
+                " mystery_ip u0 (.clk(clk), .d(d), .q(q)); endmodule"
+            ),
+            blackboxes=DEFAULT_BLACKBOXES | {"mystery_ip"},
+        ).top
+        with pytest.raises(KeyError, match="mystery_ip"):
+            dependency_chain(module, "q", 2)
+
+    def test_declared_signal_without_edges_is_a_target(self):
+        chain = dependency_chain(top_of(self.PIPE), "x", 3)
+        assert chain.distances == {"x": 0}
+
+
+class TestDependencyMonitorSnapshot:
+    """``DependencyMonitor.report()`` on every testbed bug with a target.
+
+    The snapshot was recorded with the original networkx-based graph;
+    the dependency query must keep reproducing it exactly.
+    """
+
+    SNAPSHOT = Path(__file__).parent / "fixtures" / "depmonitor_reports.json"
+
+    def test_reports_match_snapshot(self):
+        expected = json.loads(self.SNAPSHOT.read_text())
+        actual = {}
+        for bug_id, config in sorted(CONFIGS.items()):
+            if config.dep_target is None:
+                continue
+            for fixed in (False, True):
+                monitor = DependencyMonitor(
+                    load_design(bug_id, fixed=fixed),
+                    config.dep_target,
+                    config.dep_depth,
+                )
+                key = "%s/%s" % (bug_id, "fixed" if fixed else "buggy")
+                actual[key] = monitor.report()
+        assert actual == expected
+
+
+class TestNoRuntimeDependencies:
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.serve.worker"])
+    def test_networkx_never_imported(self, module):
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, %s; print('networkx' in sys.modules)" % module],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestFSMDetection:

@@ -12,6 +12,7 @@ an uninterrupted run's.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -618,6 +619,33 @@ class TestWorkerPool:
             stats = pool.stats_snapshot()
             assert stats["watchdog_kills"] == 1
             assert stats["retries"] == 1
+            assert stats["worker_restarts"] == 1
+        finally:
+            pool.close()
+
+    def test_worker_dead_before_ready_requeued_without_watchdog(
+            self, monkeypatch):
+        import types
+
+        import repro.serve.pool as pool_module
+
+        false = shutil.which("false")
+        if false is None:
+            pytest.skip("no `false` executable")
+        # Every spawned "worker" exits before writing its ready line.
+        monkeypatch.setattr(pool_module, "sys",
+                            types.SimpleNamespace(executable=false))
+        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=1,
+                          backoff=0.01, jitter=0.0)
+        try:
+            job = make_job("j000001")
+            pool.submit(job)
+            assert pool.drain(timeout=30.0)
+            assert job.status == CRASHED
+            assert job.error == "worker died"
+            assert job.attempts == 2  # initial + 1 retry
+            stats = pool.stats_snapshot()
+            assert stats["watchdog_kills"] == 0
             assert stats["worker_restarts"] == 1
         finally:
             pool.close()
