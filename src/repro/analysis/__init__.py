@@ -5,7 +5,8 @@
   over :class:`repro.flow.SignalGraph` (§4.3);
 * :mod:`repro.analysis.fsm_detect` — FSM detection heuristics (§4.2);
 * :mod:`repro.analysis.propagation` — data-propagation relations (§4.5.1);
-* :mod:`repro.analysis.ip_models` — declarative blackbox IP models (§5).
+* :mod:`repro.analysis.ip_models` — declarative blackbox IP models (§5)
+  and their registry, ``DEFAULT_IP_MODELS``.
 """
 
 from .assignments import (

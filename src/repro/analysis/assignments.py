@@ -84,7 +84,7 @@ class AssignmentRecord:
     @property
     def data_sources(self):
         """Identifier names the assigned value is computed from."""
-        return expression_identifiers(self.rhs) + self._lhs_index_sources()
+        return expression_identifiers(self.rhs) + self.index_sources
 
     @property
     def control_sources(self):
@@ -93,7 +93,9 @@ class AssignmentRecord:
             return []
         return expression_identifiers(self.condition)
 
-    def _lhs_index_sources(self):
+    @property
+    def index_sources(self):
+        """Identifier names that select where the value is stored."""
         names = []
         node = self.lhs
         while isinstance(node, (ast.Index, ast.IndexedPartSelect)):

@@ -9,8 +9,11 @@ conjunction along the chain. Input ports act as pseudo-registers (they
 hold externally-driven values), which is how a LossCheck Source that is a
 module input participates.
 
-Blackbox IPs contribute relations and loss rules through their
-:class:`~repro.analysis.ip_models.IPAnalysisModel`.
+The collapsing is :func:`repro.flow.defuse.register_walk`. Blackbox IPs
+contribute relations and loss rules through their
+:class:`~repro.analysis.ip_models.IPAnalysisModel`, as resolved by
+:func:`repro.flow.graph.resolve_blackboxes`; an unmodeled instance
+raises ``KeyError``.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..flow.defuse import register_walk
+from ..flow.graph import resolve_blackboxes
 from ..flow.solver import between
 from ..hdl import ast_nodes as ast
 from ..hdl.parser import parse_expression
 from ..hdl.codegen import generate_expression
-from .assignments import analyze_module, condition_and, expression_identifiers
-from .ip_models import DEFAULT_IP_MODELS
+from .assignments import analyze_module, expression_identifiers
 
 
 @dataclass
@@ -92,35 +96,10 @@ def instantiate_condition(template, connections):
     return parse_expression(text)
 
 
-def _comb_definitions(view):
-    """target -> list of (record) for combinationally-assigned signals."""
-    defs = {}
-    for record in view.assignments:
-        if not record.sequential:
-            defs.setdefault(record.target, []).append(record)
-    return defs
-
-
-def _expand_sources(name, condition, comb_defs, visiting):
-    """Trace *name* back through combinational definitions to registers.
-
-    Yields (register_name, condition) pairs; conditions accumulate along
-    the chain.
-    """
-    if name not in comb_defs or name in visiting:
-        yield name, condition
-        return
-    visiting = visiting | {name}
-    for record in comb_defs[name]:
-        chained = condition_and(condition, record.condition)
-        for src in record.data_sources:
-            yield from _expand_sources(src, chained, comb_defs, visiting)
-
-
-def build_propagation_table(module, ip_models=None):
+def build_propagation_table(module):
     """Extract every register-to-register propagation relation of *module*."""
     view = analyze_module(module)
-    comb_defs = _comb_definitions(view)
+    expand = register_walk(view, lambda record: record.data_sources)
     table = PropagationTable(module=module)
     for record in view.assignments:
         if not record.sequential:
@@ -130,9 +109,7 @@ def build_propagation_table(module, ip_models=None):
             and record.rhs.name == record.target
         )
         for src in record.data_sources:
-            for reg, condition in _expand_sources(
-                src, record.condition, comb_defs, frozenset()
-            ):
+            for reg, condition in expand(src, record.condition):
                 table.relations.append(
                     PropagationRelation(
                         src=reg,
@@ -142,61 +119,48 @@ def build_propagation_table(module, ip_models=None):
                         identity_hold=identity and reg == record.target,
                     )
                 )
-    _add_ip_relations(table, module, comb_defs, ip_models)
+    for box in resolve_blackboxes(module):
+        if box.model is None:
+            raise KeyError(
+                "no IP analysis model for blackbox %r"
+                % box.instance.module_name
+            )
+        _add_ip_relations(table, box, expand)
     return table
 
 
-def _add_ip_relations(table, module, comb_defs, ip_models):
-    models = dict(DEFAULT_IP_MODELS)
-    if ip_models:
-        models.update(ip_models)
-    for item in module.items:
-        if not isinstance(item, ast.Instance):
-            continue
-        model = models.get(item.module_name)
-        if model is None:
-            raise KeyError(
-                "no IP analysis model for blackbox %r" % item.module_name
-            )
-        connections = {
-            conn.port: conn.expr for conn in item.ports if conn.expr is not None
-        }
-        for flow in model.flows:
-            src_expr = connections.get(flow.src_port)
-            dst_expr = connections.get(flow.dst_port)
-            if src_expr is None or dst_expr is None:
-                continue
-            condition = instantiate_condition(flow.condition, connections)
-            dst_names = ast.lvalue_base_names(dst_expr)
-            for src in expression_identifiers(src_expr):
-                for reg, chained in _expand_sources(
-                    src, condition, comb_defs, frozenset()
-                ):
-                    for dst in dst_names:
-                        table.relations.append(
-                            PropagationRelation(
-                                src=reg,
-                                dst=dst,
-                                condition=chained,
-                                lineno=item.lineno,
-                                via_ip=item.instance_name,
-                            )
+def _add_ip_relations(table, box, expand):
+    for flow, src_expr, dst_expr in box.flows():
+        condition = instantiate_condition(flow.condition, box.connections)
+        dst_names = ast.lvalue_base_names(dst_expr)
+        for src in expression_identifiers(src_expr):
+            for reg, chained in expand(src, condition):
+                for dst in dst_names:
+                    table.relations.append(
+                        PropagationRelation(
+                            src=reg,
+                            dst=dst,
+                            condition=chained,
+                            lineno=box.instance.lineno,
+                            via_ip=box.instance.instance_name,
                         )
-        for rule in model.loss_rules:
-            port_expr = connections.get(rule.port)
-            if port_expr is None:
-                continue
-            condition = instantiate_condition(rule.condition, connections)
-            sources = []
-            for src in expression_identifiers(port_expr):
-                for reg, _ in _expand_sources(src, None, comb_defs, frozenset()):
-                    sources.append(reg)
-            table.ip_loss_points.append(
-                IPLossPoint(
-                    instance=item.instance_name,
-                    port=rule.port,
-                    condition=condition,
-                    description=rule.description,
-                    sources=sources,
-                )
+                    )
+    for rule in box.model.loss_rules:
+        port_expr = box.connections.get(rule.port)
+        if port_expr is None:
+            continue
+        table.ip_loss_points.append(
+            IPLossPoint(
+                instance=box.instance.instance_name,
+                port=rule.port,
+                condition=instantiate_condition(
+                    rule.condition, box.connections
+                ),
+                description=rule.description,
+                sources=[
+                    reg
+                    for src in expression_identifiers(port_expr)
+                    for reg, _ in expand(src)
+                ],
             )
+        )

@@ -46,12 +46,13 @@ class DependencyMonitor:
     include_control:
         Analyze control dependencies as well as data dependencies
         (default True, configurable per §4.3).
-    ip_models:
-        Extra :class:`~repro.analysis.ip_models.IPAnalysisModel` entries
-        for blackbox IPs not in the default registry.
+
+    Blackbox IPs are traced through their
+    :class:`~repro.analysis.ip_models.IPAnalysisModel`; register a model
+    for a new IP in :data:`~repro.analysis.ip_models.DEFAULT_IP_MODELS`.
     """
 
-    def __init__(self, design, target, depth, include_control=True, ip_models=None):
+    def __init__(self, design, target, depth, include_control=True):
         with obs.span("pass:dependency_monitor"):
             self.instrumenter = Instrumenter(design, prefix="dep_")
             self.module = self.instrumenter.module
@@ -62,7 +63,6 @@ class DependencyMonitor:
                 target,
                 depth,
                 include_control=include_control,
-                ip_models=ip_models,
             )
             self._instrument()
         record_pass_metrics("dependency_monitor", self.instrumenter)

@@ -120,8 +120,6 @@ class LossCheck:
     source_valid:
         Name (or expression text) of the Source's valid signal; when
         omitted, every Source value is treated as valid.
-    ip_models:
-        Extra blackbox IP models beyond the default registry.
     prune:
         When set, restrict shadow-variable instrumentation to registers
         on an actual payload-carrying Source→Sink dataflow slice
@@ -146,7 +144,6 @@ class LossCheck:
         source,
         sink,
         source_valid=None,
-        ip_models=None,
         prune=False,
     ):
         with obs.span("pass:losscheck"):
@@ -155,9 +152,7 @@ class LossCheck:
             self.source = source
             self.sink = sink
             self.source_valid = source_valid
-            self.table = build_propagation_table(
-                self.instrumenter.original, ip_models=ip_models
-            )
+            self.table = build_propagation_table(self.instrumenter.original)
             self.path = self.table.path_registers(source, sink)
             if sink not in self.path or source not in self.path:
                 raise ValueError(
@@ -169,7 +164,7 @@ class LossCheck:
             #: Path registers dropped by pruning (empty without prune).
             self.pruned_out = []
             if prune:
-                self._apply_prune(ip_models)
+                self._apply_prune()
             self._valid_regs = {}
             self.filtered = set()
             self._instrument()
@@ -189,7 +184,7 @@ class LossCheck:
                 monitored.append(name)
         return monitored
 
-    def _apply_prune(self, ip_models):
+    def _apply_prune(self):
         """Intersect the monitored set with the payload dataflow slice.
 
         Conservative in both directions: when the slice is empty or
@@ -211,7 +206,6 @@ class LossCheck:
                 self.source,
                 self.sink,
                 view=self._view,
-                ip_models=ip_models,
             )
         )
         if self.source in slice_regs and self.sink in slice_regs:
@@ -221,16 +215,14 @@ class LossCheck:
                     name for name in self.monitored if name not in slice_regs
                 ]
                 self.monitored = kept
-        self._prune_constants(ip_models)
+        self._prune_constants()
 
-    def _prune_constants(self, ip_models):
+    def _prune_constants(self):
         """Drop monitored registers the abstract facts prove constant."""
         from ..flow.absint import compute_facts
 
         try:
-            facts = compute_facts(
-                self.instrumenter.original, ip_models=ip_models
-            )
+            facts = compute_facts(self.instrumenter.original)
         except Exception:
             return
         if not facts.converged:

@@ -5,13 +5,16 @@ signals matter* before paying for instrumentation or simulation. The
 engine provides
 
 * :mod:`repro.flow.solver` — a generic monotone worklist fixpoint
-  solver with deterministic iteration order;
-* :mod:`repro.flow.defuse` — def-use chains, reaching definitions, and
-  the bit-aware *payload* slice (value-carrying positions only) that
-  LossCheck's ``prune=True`` mode monitors;
-* :mod:`repro.flow.graph` — the design-level signal graph: per-module
-  assignments plus port connections (already flattened by elaboration)
-  plus blackbox edges from :class:`~repro.analysis.ip_models.IPAnalysisModel`;
+  solver with deterministic iteration order, plus reachability and the
+  minimum-latency relaxation;
+* :mod:`repro.flow.defuse` — def-use chains, reaching definitions, the
+  combinational-collapsing register walk, and the bit-aware *payload*
+  slice (value-carrying positions only) that LossCheck's ``prune=True``
+  mode monitors;
+* :mod:`repro.flow.graph` — the blackbox resolver and the design-level
+  signal graph: per-module assignments plus port connections (already
+  flattened by elaboration) plus blackbox edges from
+  :class:`~repro.analysis.ip_models.IPAnalysisModel`;
 * :mod:`repro.flow.clockdomain` — per-signal clock-domain inference;
 * :mod:`repro.flow.absint` — abstract interpretation (value ranges +
   known bits + X taint) exporting a deterministic :class:`FactTable`;

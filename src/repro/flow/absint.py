@@ -559,12 +559,11 @@ def _whole_signal_contribution(evaluator, symbols, record, env):
     return AbsValue.top(width)
 
 
-def compute_facts(module, ip_models=None, max_iterations=None):
+def compute_facts(module, max_iterations=None):
     """Fixpoint value-range + known-bits facts for a flat *module*.
 
-    ``ip_models`` is accepted for signature parity with the rest of the
-    flow engine; vendor-IP summaries are derived from the instance
-    parameters directly. Returns a :class:`FactTable`; ``converged`` is
+    Vendor-IP summaries are derived from the instance parameters
+    directly. Returns a :class:`FactTable`; ``converged`` is
     False only if the solver hit ``max_iterations`` (facts are then
     under-approximations and every consumer must ignore them).
     """
@@ -1092,15 +1091,12 @@ def check_values(module, table, filename="<input>"):
     return diagnostics
 
 
-def analyze_values(module, filename="<input>", ip_models=None,
-                   max_iterations=None):
+def analyze_values(module, filename="<input>", max_iterations=None):
     """Facts plus L05xx diagnostics for one flat module.
 
     Returns ``(FactTable, [Diagnostic])``. When the fixpoint fails to
     converge the diagnostic list is empty and ``table.converged`` is
     False — consumers must treat the facts as unusable.
     """
-    table = compute_facts(
-        module, ip_models=ip_models, max_iterations=max_iterations
-    )
+    table = compute_facts(module, max_iterations=max_iterations)
     return table, check_values(module, table, filename=filename)

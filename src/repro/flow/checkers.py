@@ -13,7 +13,9 @@ yields :class:`~repro.diag.model.Diagnostic` findings:
   another inferred clock domain feeding logic directly, or a data
   register and its name-paired valid/qualifier register driven with
   mismatched latencies (the paper's *signal asynchrony* subclass,
-  testbed C3).
+  testbed C3). Latencies are the minimum cycles over the signal
+  graph's edge latencies, so a path through a blackbox costs the
+  model's latency (``altsyncram`` data→q is 2 cycles).
 * **L0403** (warning) — multi-bit clock-domain crossing captured without
   gray coding or a synchronized handshake: individual bits can settle on
   different edges, so the captured word can be a value never sent.
@@ -45,7 +47,7 @@ from ..analysis.fsm_detect import detect_fsms
 from ..diag.model import Diagnostic, Severity, SourceSpan
 from .clockdomain import infer_domains
 from .graph import build_signal_graph
-from .solver import reachable
+from .solver import min_latencies, reachable
 
 #: Reset-like signal names (aligned with the fuzz stimulus conventions).
 RESET_NAMES = frozenset(
@@ -396,28 +398,11 @@ def _check_circular_handshake(report, module, view):
         )
 
 
-def _sequential_latencies(graph, target):
-    """``{ancestor: min sequential-edge count to reach *target*}``."""
-    incoming = {}
-    for edge in graph.edges:
-        incoming.setdefault(edge.dst, []).append(edge)
-    dist = {target: 0}
-    changed = True
-    guard = 0
-    limit = max(64, 4 * len(graph.edges) * 2)
-    while changed and guard < limit:
-        changed = False
-        guard += 1
-        for node in sorted(dist):
-            for edge in incoming.get(node, []):
-                cost = dist[node] + (1 if edge.sequential else 0)
-                if edge.src == edge.dst:
-                    continue
-                if cost < dist.get(edge.src, cost + 1):
-                    dist[edge.src] = cost
-                    changed = True
-    dist.pop(target, None)
-    return dist
+def _latencies_to(incoming, target):
+    """``{ancestor: min cycles for its value to reach *target*}``."""
+    distances = min_latencies(incoming, target)
+    distances.pop(target)
+    return distances
 
 
 def _valid_pairs(module, view):
@@ -456,11 +441,12 @@ def check_valid_data_skew(report, module, view, graph, domains):
 
 def _check_valid_data_skew(report, module, view, graph, domains):
     clock_set = set(domains.clocks)
+    incoming = graph.incoming()
     for data_reg, valid_reg in _valid_pairs(module, view):
         if _record_clock(view, data_reg) != _record_clock(view, valid_reg):
             continue  # cross-domain pairs are the CDC checks' business
-        data_dist = _sequential_latencies(graph, data_reg)
-        valid_dist = _sequential_latencies(graph, valid_reg)
+        data_dist = _latencies_to(incoming, data_reg)
+        valid_dist = _latencies_to(incoming, valid_reg)
         shared = sorted(
             (set(data_dist) & set(valid_dist))
             - clock_set
@@ -716,7 +702,7 @@ def check_fsm_reachability(report, module):
 # ---------------------------------------------------------------------------
 
 
-def analyze_flow(design, filename="<input>", ip_models=None):
+def analyze_flow(design, filename="<input>"):
     """Run every flow checker over an elaborated design (or flat module).
 
     Returns a :class:`FlowReport`; use :func:`run_flow_checks` to also
@@ -727,12 +713,10 @@ def analyze_flow(design, filename="<input>", ip_models=None):
 
     module = getattr(design, "top", design)
     view = analyze_module(module)
-    graph = build_signal_graph(module, view=view, ip_models=ip_models)
+    graph = build_signal_graph(module, view=view)
     domains = infer_domains(module, view=view, graph=graph)
     chains = build_def_use(module, view=view)
-    facts, value_diagnostics = analyze_values(
-        module, filename=filename, ip_models=ip_models
-    )
+    facts, value_diagnostics = analyze_values(module, filename=filename)
     report = FlowReport(
         module=module.name,
         filename=filename,
@@ -751,9 +735,9 @@ def analyze_flow(design, filename="<input>", ip_models=None):
     return report
 
 
-def run_flow_checks(design, sink=None, filename="<input>", ip_models=None):
+def run_flow_checks(design, sink=None, filename="<input>"):
     """Analyze *design* and emit findings into *sink* (when given)."""
-    report = analyze_flow(design, filename=filename, ip_models=ip_models)
+    report = analyze_flow(design, filename=filename)
     if sink is not None:
         for diagnostic in report.diagnostics:
             sink.emit(diagnostic)

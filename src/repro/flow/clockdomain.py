@@ -48,10 +48,10 @@ class DomainInference:
         return len(self.clocks) > 1
 
 
-def infer_domains(module, view=None, graph=None, ip_models=None):
+def infer_domains(module, view=None, graph=None):
     """Infer the clock-domain set of every signal in *module*."""
     view = view or analyze_module(module)
-    graph = graph or build_signal_graph(module, view=view, ip_models=ip_models)
+    graph = graph or build_signal_graph(module, view=view)
     clocks = set()
     seeds = {}
     comb_deps = {}

@@ -16,6 +16,9 @@ selects, and ternary arms. Positions that collapse the value to one bit
 (conditions, indices) are excluded. LossCheck's ``prune=True`` mode uses
 this to restrict shadow instrumentation to registers that can carry the
 Source payload toward the Sink.
+
+:func:`register_walk` is the one combinational-collapsing walk, shared
+by the payload graph and LossCheck's propagation table.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hdl import ast_nodes as ast
-from ..analysis.assignments import analyze_module
-from ..analysis.ip_models import DEFAULT_IP_MODELS
+from ..analysis.assignments import analyze_module, condition_and
+from .graph import resolve_blackboxes
 from .solver import between
 
 #: Binary operators whose result still carries operand payload bits.
@@ -116,25 +119,13 @@ class DefUseChains:
         return sorted(set(self.defs) | set(self.uses))
 
 
-def _index_sources(record):
-    names = []
-    node = record.lhs
-    while isinstance(node, (ast.Index, ast.IndexedPartSelect)):
-        index = node.index if isinstance(node, ast.Index) else node.base
-        for ident in index.walk():
-            if isinstance(ident, ast.Identifier):
-                names.append(ident.name)
-        node = node.var
-    return names
-
-
 def build_def_use(module, view=None):
     """Build :class:`DefUseChains` for an elaborated flat *module*."""
     view = view or analyze_module(module)
     chains = DefUseChains(module=module, view=view)
     for record in view.assignments:
         chains.defs.setdefault(record.target, []).append(record)
-        index_names = set(_index_sources(record))
+        index_names = set(record.index_sources)
         rhs_names = set()
         for node in record.rhs.walk():
             if isinstance(node, ast.Identifier):
@@ -187,69 +178,75 @@ def reaching_definitions(module, view=None):
     return {name: sorted(result.values[name]) for name in sorted(nodes)}
 
 
-def payload_register_graph(module, view=None, ip_models=None):
+def register_walk(view, identifiers):
+    """The combinational-collapsing walk over *view*'s assignments.
+
+    Returns ``expand(name, condition=None)``, which traces *name* back
+    through combinational definitions and yields one ``(register,
+    condition)`` pair per path: *register* is a sequentially-assigned
+    signal or input port, *condition* the conjunction of *condition* and
+    the path constraints along the chain (None == always).
+    ``identifiers(record)`` picks the identifiers of each combinational
+    definition to follow. Pairs come in definition and identifier
+    order, duplicates kept; a combinational cycle stops at the repeated
+    signal.
+    """
+    comb_defs = {}
+    for record in view.assignments:
+        if not record.sequential:
+            comb_defs.setdefault(record.target, []).append(record)
+
+    def expand(name, condition=None, visiting=frozenset()):
+        if name not in comb_defs or name in visiting:
+            yield name, condition
+            return
+        visiting = visiting | {name}
+        for record in comb_defs[name]:
+            chained = condition_and(condition, record.condition)
+            for src in identifiers(record):
+                yield from expand(src, chained, visiting)
+
+    return expand
+
+
+def payload_register_graph(module, view=None):
     """Register-to-register *payload* edges ``{src: set(dst)}``.
 
     The sequential skeleton of the design restricted to value-carrying
     positions: a register (or input port) ``src`` has an edge to register
     ``dst`` when ``src``'s bits can end up stored in ``dst`` — traced
     through combinational definitions with :func:`payload_identifiers`
-    at every hop, plus payload-carrying blackbox IP flows.
+    at every hop, plus payload-carrying blackbox IP flows. Instances
+    without a model are skipped.
     """
     view = view or analyze_module(module)
-    comb_defs = {}
-    for record in view.assignments:
-        if not record.sequential:
-            comb_defs.setdefault(record.target, []).append(record)
-
-    def expand(name, visiting):
-        if name not in comb_defs or name in visiting:
-            return {name}
-        expanded = set()
-        for record in comb_defs[name]:
-            for src in payload_identifiers(record.rhs):
-                expanded |= expand(src, visiting | {name})
-        return expanded
-
+    expand = register_walk(view, lambda record: payload_identifiers(record.rhs))
     edges = {}
+
+    def add_edges(src_expr, dst_names):
+        for src in payload_identifiers(src_expr):
+            for reg, _ in expand(src):
+                for dst in dst_names:
+                    edges.setdefault(reg, set()).add(dst)
+
     for record in view.assignments:
-        if not record.sequential:
+        if record.sequential:
+            add_edges(record.rhs, [record.target])
+    for box in resolve_blackboxes(module):
+        if box.model is None:
             continue
-        for src in payload_identifiers(record.rhs):
-            for reg in expand(src, frozenset()):
-                edges.setdefault(reg, set()).add(record.target)
-    models = dict(DEFAULT_IP_MODELS)
-    if ip_models:
-        models.update(ip_models)
-    for item in module.items:
-        if not isinstance(item, ast.Instance):
-            continue
-        model = models.get(item.module_name)
-        if model is None:
-            continue
-        connections = {
-            conn.port: conn.expr for conn in item.ports if conn.expr is not None
-        }
-        for flow in model.flows:
-            if not getattr(flow, "payload", True):
-                continue
-            src_expr = connections.get(flow.src_port)
-            dst_expr = connections.get(flow.dst_port)
-            if src_expr is None or dst_expr is None:
-                continue
-            for src in payload_identifiers(src_expr):
-                for reg in expand(src, frozenset()):
-                    for dst in ast.lvalue_base_names(dst_expr):
-                        edges.setdefault(reg, set()).add(dst)
+        for flow, src_expr, dst_expr in box.flows():
+            if flow.payload:
+                add_edges(src_expr, ast.lvalue_base_names(dst_expr))
     return edges
 
 
-def payload_slice(module, source, sink, view=None, ip_models=None):
+def payload_slice(module, source, sink, view=None):
     """Registers on a payload-carrying Source→Sink slice (sorted).
 
     Forward payload reachability from *source* intersected with backward
     reachability to *sink* — the set LossCheck's ``prune=True`` mode
     restricts monitoring to. Empty when no payload path exists.
     """
-    edges = payload_register_graph(module, view=view, ip_models=ip_models)
+    edges = payload_register_graph(module, view=view)
     return sorted(between(edges, source, sink))

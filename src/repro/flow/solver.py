@@ -4,7 +4,10 @@ Every analysis in :mod:`repro.flow` — clock-domain inference, reaching
 definitions, dataflow slicing — is an instance of the same schema: a
 finite set of nodes, a dependency relation, a join-semilattice of facts,
 and a monotone transfer function. :func:`solve` runs the classic
-worklist algorithm over that schema.
+worklist algorithm over that schema. Three common instances have
+direct forms: :func:`reachable` and :func:`between` (boolean
+reachability) and :func:`min_latencies` (minimum cycles back to a
+target, shared by the Dependency Monitor and the L0402 skew check).
 
 Determinism matters here as much as convergence: the fuzz campaign's
 ``flow`` oracle requires byte-identical verdicts across runs, so the
@@ -120,3 +123,30 @@ def between(edges, source, sink):
         for dst in dsts:
             inverse.setdefault(dst, set()).add(src)
     return set(reachable(edges, source)) & set(reachable(inverse, sink))
+
+
+def min_latencies(incoming, target, bound=None):
+    """``{ancestor: minimum total cost to reach *target*}``, target at 0.
+
+    A backward relaxation over ``{dst: [(src, cost)]}`` edges with
+    non-negative integer costs (the cycles a value takes to cross each
+    edge). A node is re-expanded only when its distance strictly drops,
+    so zero-cost cycles and self-edges terminate without an iteration
+    guard. With *bound*, paths costing more than it are cut off (the
+    Dependency Monitor's k).
+    """
+    distances = {target: 0}
+    frontier = [target]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            base = distances[node]
+            for src, cost in incoming.get(node, ()):
+                total = base + cost
+                if bound is not None and total > bound:
+                    continue
+                if src not in distances or total < distances[src]:
+                    distances[src] = total
+                    next_frontier.append(src)
+        frontier = next_frontier
+    return distances

@@ -401,9 +401,8 @@ class TestAbsintOracle:
 
         real = flow_pkg.compute_facts
 
-        def lying(module, ip_models=None, max_iterations=None):
-            table = real(module, ip_models=ip_models,
-                         max_iterations=max_iterations)
+        def lying(module, max_iterations=None):
+            table = real(module, max_iterations=max_iterations)
             for name, fact in list(table.facts.items()):
                 if not fact.is_const and not table.depths.get(name):
                     table.facts[name] = AbsValue.const(0, fact.width)

@@ -16,9 +16,11 @@ from repro.analysis import (
     instantiate_condition,
 )
 from repro.core.dependency_monitor import DependencyMonitor
+from repro.flow import build_signal_graph, payload_register_graph
 from repro.hdl import elaborate, parse, parse_expression
 from repro.hdl.codegen import generate_expression
 from repro.hdl.elaborate import DEFAULT_BLACKBOXES
+from repro.testbed import BUG_IDS
 from repro.testbed.debug_configs import CONFIGS
 from repro.testbed.harness import load_design
 
@@ -134,6 +136,11 @@ class TestDependencyChain:
         ).top
         with pytest.raises(KeyError, match="mystery_ip"):
             dependency_chain(module, "q", 2)
+        # The other readers of the blackbox resolver keep their policies.
+        with pytest.raises(KeyError, match="mystery_ip"):
+            build_propagation_table(module)
+        assert build_signal_graph(module).unmodeled == ["u0"]
+        assert payload_register_graph(module) == {}
 
     def test_declared_signal_without_edges_is_a_target(self):
         chain = dependency_chain(top_of(self.PIPE), "x", 3)
@@ -164,6 +171,61 @@ class TestDependencyMonitorSnapshot:
                 key = "%s/%s" % (bug_id, "fixed" if fixed else "buggy")
                 actual[key] = monitor.report()
         assert actual == expected
+
+
+def propagation_snapshot():
+    """Every testbed bug's propagation table, buggy and fixed, as JSON data.
+
+    Relations keep their extraction order: LossCheck's generated
+    instrumentation follows it.
+    """
+
+    def text(condition):
+        return None if condition is None else generate_expression(condition)
+
+    snapshot = {}
+    for bug_id in BUG_IDS:
+        for fixed in (False, True):
+            table = build_propagation_table(load_design(bug_id, fixed=fixed).top)
+            key = "%s/%s" % (bug_id, "fixed" if fixed else "buggy")
+            snapshot[key] = {
+                "relations": [
+                    {
+                        "src": r.src,
+                        "dst": r.dst,
+                        "condition": text(r.condition),
+                        "lineno": r.lineno,
+                        "via_ip": r.via_ip,
+                        "identity_hold": r.identity_hold,
+                    }
+                    for r in table.relations
+                ],
+                "ip_loss_points": [
+                    {
+                        "instance": p.instance,
+                        "port": p.port,
+                        "condition": text(p.condition),
+                        "sources": p.sources,
+                    }
+                    for p in table.ip_loss_points
+                ],
+            }
+    return snapshot
+
+
+class TestPropagationSnapshot:
+    """``build_propagation_table`` on all 20 testbed bugs, buggy and fixed.
+
+    Recorded before the blackbox resolver and the register-collapsing
+    walk were shared with :mod:`repro.flow`; the tables must keep
+    matching exactly, relation order included.
+    """
+
+    SNAPSHOT = Path(__file__).parent / "fixtures" / "propagation_tables.json"
+
+    def test_tables_match_snapshot(self):
+        expected = json.loads(self.SNAPSHOT.read_text())
+        assert propagation_snapshot() == expected
 
 
 class TestNoRuntimeDependencies:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.analysis import dependency_chain
 from repro.diag.check import build_check_report, check_text, render_check_report
 from repro.flow import (
     analyze_flow,
@@ -17,6 +18,8 @@ from repro.flow import (
     reaching_definitions,
     solve,
 )
+from repro.flow.checkers import _latencies_to
+from repro.flow.solver import min_latencies
 from repro.hdl import elaborate, parse
 from repro.hdl.parser import parse_expression
 from repro.sim.simulator import CombinationalLoopError, Simulator
@@ -102,6 +105,24 @@ class TestSolver:
         edges = {"a": {"b"}, "b": {"c"}, "x": {"y"}}
         assert reachable(edges, "a") == ["a", "b", "c"]
         assert reachable(edges, "c") == ["c"]
+
+    def test_min_latencies_shortest_and_bounded(self):
+        incoming = {"c": [("b", 1), ("a", 3)], "b": [("a", 1)]}
+        assert min_latencies(incoming, "c") == {"c": 0, "b": 1, "a": 2}
+        assert min_latencies(incoming, "c", bound=1) == {"c": 0, "b": 1}
+        assert min_latencies(incoming, "a") == {"a": 0}
+
+    def test_min_latencies_stops_on_self_edges(self):
+        incoming = {"q": [("q", 1), ("d", 1)], "d": [("d", 0)]}
+        assert min_latencies(incoming, "q") == {"q": 0, "d": 1}
+
+    def test_min_latencies_stops_on_zero_latency_cycle(self):
+        graph = build_signal_graph(fixture_design("comb_loop").top)
+        incoming = graph.incoming()
+        assert min_latencies(incoming, "a") == {"a": 0, "b": 0}
+        assert min_latencies(incoming, "out_q") == {
+            "out_q": 0, "a": 1, "b": 1, "in_bit": 1,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +311,46 @@ class TestCDC:
         assert "L0403" in codes, "multi-bit capture without gray/handshake"
         messages = " ".join(d.message for d in report.diagnostics)
         assert "flag_a" in messages and "data_a" in messages
+
+
+class TestValidDataSkew:
+    """L0402's data/valid latency check counts each edge's latency."""
+
+    def skew_warnings(self, design):
+        report = analyze_flow(design, filename="ram_valid_latency")
+        return [
+            d.message
+            for d in report.diagnostics
+            if d.code == "L0402" and "out of sync" in d.message
+        ]
+
+    def test_ram_read_path_in_sync(self):
+        # x -> altsyncram (2 cycles) -> res (1) matches x[0] through
+        # three registers to res_valid.
+        assert self.skew_warnings(fixture_design("ram_valid_latency")) == []
+        with open(os.path.join(FIXTURES, "ram_valid_latency.v")) as handle:
+            text = handle.read()
+        assert check_text(text, filename="x.v", strict=True).exit_code == 0
+
+    def test_two_register_valid_path_still_warns(self):
+        with open(os.path.join(FIXTURES, "ram_valid_latency.v")) as handle:
+            text = handle.read()
+        skewed = text.replace("res_valid <= v2;", "res_valid <= v1;")
+        assert skewed != text
+        (message,) = self.skew_warnings(
+            elaborate(parse(skewed), top="ram_valid_latency")
+        )
+        assert "from 'x' (3 vs 2 cycles)" in message
+
+    def test_agrees_with_dependency_chain(self):
+        module = fixture_design("ram_valid_latency").top
+        incoming = build_signal_graph(module).incoming()
+        for target in ("res", "res_valid"):
+            chain = dependency_chain(module, target, depth=64)
+            chain.distances.pop(target)
+            assert chain.distances == _latencies_to(incoming, target)
+        assert _latencies_to(incoming, "res")["x"] == 3
+        assert _latencies_to(incoming, "res_valid")["x"] == 3
 
 
 # ---------------------------------------------------------------------------
