@@ -48,8 +48,8 @@ def build_dependency_graph(module, include_control=True):
     for box in graph.blackboxes:
         if box.model is None:
             raise KeyError(
-                "no IP analysis model for blackbox %r; provide one via "
-                "ip_models (see repro.analysis.ip_models)"
+                "no IP analysis model for blackbox %r; register one in "
+                "DEFAULT_IP_MODELS (repro.analysis.ip_models)"
                 % box.instance.module_name
             )
     return graph.incoming(include_control=include_control)

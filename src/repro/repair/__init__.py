@@ -29,11 +29,11 @@ from __future__ import annotations
 _EXPORTS = {
     "RepairCandidate": ".templates",
     "RepairEdit": ".templates",
+    "RepairPlan": ".templates",
     "RepairSite": ".templates",
     "SiteContext": ".templates",
     "TEMPLATES": ".templates",
     "TEMPLATE_NAMES": ".templates",
-    "count_edits": ".templates",
     "enumerate_candidates": ".templates",
     "instantiate": ".templates",
     "resolve_sites": ".templates",

@@ -3,8 +3,9 @@
 One :func:`run_repair` call is the whole loop for one bug:
 
 1. :func:`repro.repair.sites.enumerate_sites` localizes the search;
-2. :func:`repro.repair.templates.enumerate_candidates` lazily yields
-   candidate patches in site-rank order;
+2. :func:`repro.repair.templates.enumerate_candidates` plans every
+   edit once, on one live AST, and lazily yields candidate patches in
+   site-rank order;
 3. each candidate is validated by scenario replay
    (:mod:`repro.repair.validate`) under a watchdog, with one retry on a
    wall-clock overrun;
@@ -32,7 +33,7 @@ from ..runtime import JsonlJournal, TimeLimitExceeded, retry_with_backoff
 from ..testbed.metadata import SPECS
 from .rank import RankMetrics, rank_candidates, reference_trace, score_candidate
 from .sites import enumerate_sites
-from .templates import count_edits, enumerate_candidates
+from .templates import enumerate_candidates
 from .validate import (
     DEFAULT_WATCHDOG,
     STATUS_PASSED,
@@ -147,14 +148,11 @@ def run_repair(config):
                     seen[key] = record
 
     with obs.span("repair:enumerate", bug=bug_id):
-        planned = count_edits(
+        plan = enumerate_candidates(
             text, spec.top, sites, templates=templates,
             filename=spec.design_file,
         )
-        candidates = enumerate_candidates(
-            text, spec.top, sites, templates=templates,
-            filename=spec.design_file,
-        )
+        planned = plan.planned
 
     lo, hi = 0, None
     if config.candidate_range is not None:
@@ -165,7 +163,7 @@ def run_repair(config):
     passing = 0
     try:
         with obs.span("repair:validate", bug=bug_id):
-            for position, candidate in enumerate(candidates):
+            for position, candidate in enumerate(plan):
                 if hi is not None and position >= hi:
                     break
                 if tried >= config.budget:

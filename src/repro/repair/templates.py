@@ -3,11 +3,13 @@
 Each template is a pure enumeration over one module's AST: given the
 module and a :class:`SiteContext` (which signals and source lines the
 diagnostics implicate), it yields every edit it knows how to make at
-those sites. Edits are closures over nodes of a *freshly parsed* tree,
-so applying edit *i* means: re-parse the pristine source, re-enumerate
-(the traversal is deterministic), apply the *i*-th closure, and render
-with :func:`repro.hdl.generate_source`. Templates never touch the
-original text.
+those sites. Edits are closures over nodes of that tree, and every
+write they make goes through :func:`_set_slot`, which logs the old
+value so :func:`_undo` can restore it. A :class:`RepairPlan` parses
+the source, resolves the sites, builds the anchor maps and runs the
+templates once; a candidate is then one edit applied to that live
+tree, rendered with :func:`repro.hdl.generate_source` and undone.
+Templates never touch the original text.
 
 The registry follows rtl-repair's catalogue (replace_literals,
 invert_condition, assign_const, add_guard, conditional_overwrite,
@@ -91,7 +93,11 @@ class SiteContext:
 
 @dataclass
 class RepairEdit:
-    """One enumerable edit: a description plus an in-place apply."""
+    """One enumerable edit: a description plus an in-place apply.
+
+    ``apply(log)`` edits the tree in place through :func:`_set_slot`,
+    so ``_undo(log)`` afterwards restores it exactly.
+    """
 
     description: str
     apply: object
@@ -248,11 +254,25 @@ def _iter_expr_slots(module):
         yield from visit(item)
 
 
-def _set_slot(parent, slot, value):
+def _set_slot(log, parent, slot, value):
+    """Write ``parent.slot`` (``parent[slot]`` for a statement list) and
+    record the old value on *log*, so :func:`_undo` can put it back."""
     if isinstance(parent, list):
+        log.append((parent, slot, parent[slot]))
         parent[slot] = value
     else:
+        log.append((parent, slot, getattr(parent, slot)))
         setattr(parent, slot, value)
+
+
+def _undo(log):
+    """Restore every slot *log* recorded, newest write first."""
+    while log:
+        parent, slot, old = log.pop()
+        if isinstance(parent, list):
+            parent[slot] = old
+        else:
+            setattr(parent, slot, old)
 
 
 def _stmt_slots(module):
@@ -326,8 +346,8 @@ def t_replace_literals(module, ctx, maps):
                 edits.append(RepairEdit(
                     description="size cast %d'(...) -> %d'(...)"
                     % (expr.width, width),
-                    apply=(lambda e=expr, w=width:
-                           setattr(e, "width", w)),
+                    apply=(lambda log, e=expr, w=width:
+                           _set_slot(log, e, "width", w)),
                     anchor=anchor,
                     signal=_first_signal(anchor, ctx),
                 ))
@@ -342,7 +362,8 @@ def t_replace_literals(module, ctx, maps):
                 continue
             edits.append(RepairEdit(
                 description="literal %s -> %d" % (expr, value),
-                apply=(lambda e=expr, v=value: setattr(e, "value", v)),
+                apply=(lambda log, e=expr, v=value:
+                       _set_slot(log, e, "value", v)),
                 anchor=anchor,
                 signal=_first_signal(anchor, ctx),
             ))
@@ -366,9 +387,9 @@ def t_shift_partselect(module, ctx, maps):
             edits.append(RepairEdit(
                 description="part select [%d:%d] -> [%d:%d]"
                 % (msb, lsb, msb + delta, lsb + delta),
-                apply=(lambda e=expr, d=delta: (
-                    setattr(e.msb, "value", e.msb.value + d),
-                    setattr(e.lsb, "value", e.lsb.value + d),
+                apply=(lambda log, e=expr, d=delta: (
+                    _set_slot(log, e.msb, "value", e.msb.value + d),
+                    _set_slot(log, e.lsb, "value", e.lsb.value + d),
                 )),
                 anchor=anchor,
                 signal=_first_signal(anchor, ctx),
@@ -412,18 +433,20 @@ def t_swap_partselect_pair(module, ctx, maps):
                 edits.append(RepairEdit(
                     description="swap %s[%d:%d] and %s[%d:%d] writes"
                     % (name, msb_a, lsb_a, name, msb_b, lsb_b),
-                    apply=(lambda a=stmt_a, b=stmt_b: (
-                        _swap_ranges(a.lhs, b.lhs)
-                    )),
+                    apply=(lambda log, a=stmt_a, b=stmt_b:
+                           _swap_ranges(log, a.lhs, b.lhs)),
                     anchor=anchor,
                     signal=name,
                 ))
     return edits
 
 
-def _swap_ranges(lhs_a, lhs_b):
-    lhs_a.msb, lhs_b.msb = lhs_b.msb, lhs_a.msb
-    lhs_a.lsb, lhs_b.lsb = lhs_b.lsb, lhs_a.lsb
+def _swap_ranges(log, lhs_a, lhs_b):
+    msb_a, lsb_a = lhs_a.msb, lhs_a.lsb
+    _set_slot(log, lhs_a, "msb", lhs_b.msb)
+    _set_slot(log, lhs_a, "lsb", lhs_b.lsb)
+    _set_slot(log, lhs_b, "msb", msb_a)
+    _set_slot(log, lhs_b, "lsb", lsb_a)
 
 
 def t_widen_synchronizer(module, ctx, maps):
@@ -456,8 +479,8 @@ def t_widen_synchronizer(module, ctx, maps):
                         "/".join(d.name for d in group),
                         depth, new_depth,
                     ),
-                    apply=(lambda g=tuple(group), n=new_depth:
-                           [_set_depth(d, n) for d in g]),
+                    apply=(lambda log, g=tuple(group), n=new_depth:
+                           [_set_span(log, d.array, n) for d in g]),
                     anchor=MutationAnchor(
                         lines=frozenset(d.lineno for d in group),
                         signals=frozenset(d.name for d in group),
@@ -473,7 +496,8 @@ def t_widen_synchronizer(module, ctx, maps):
             edits.append(RepairEdit(
                 description="widen %s [%d bits] -> [%d bits]"
                 % (decl.name, bits, bits + 1),
-                apply=(lambda d=decl: _set_width(d, d.width.bits() + 1)),
+                apply=(lambda log, d=decl:
+                       _set_span(log, d.width, d.width.bits() + 1)),
                 anchor=anchor,
                 signal=decl.name,
             ))
@@ -487,8 +511,8 @@ def t_widen_synchronizer(module, ctx, maps):
             edits.append(RepairEdit(
                 description="instance %s: %s %d -> %d"
                 % (item.instance_name, override.name, value, value * 2),
-                apply=(lambda o=override, v=value * 2:
-                       setattr(o.value, "value", v)),
+                apply=(lambda log, o=override, v=value * 2:
+                       _set_slot(log, o.value, "value", v)),
                 anchor=MutationAnchor(
                     lines=frozenset({item.lineno}),
                     signals=frozenset({item.instance_name}),
@@ -498,23 +522,15 @@ def t_widen_synchronizer(module, ctx, maps):
     return edits
 
 
-def _set_depth(decl, entries):
-    """Rewrite an array bound to hold *entries* elements, keeping order."""
-    msb, lsb = decl.array.msb, decl.array.lsb
+def _set_span(log, bounds, count):
+    """Rewrite a constant ``[msb:lsb]`` range (a width, or an array's
+    bounds) to span *count* entries, keeping its order."""
+    msb, lsb = bounds.msb, bounds.lsb
     if isinstance(msb, ast.Number) and isinstance(lsb, ast.Number):
         if msb.value >= lsb.value:
-            msb.value = lsb.value + entries - 1
+            _set_slot(log, msb, "value", lsb.value + count - 1)
         else:
-            lsb.value = msb.value + entries - 1
-
-
-def _set_width(decl, bits):
-    msb, lsb = decl.width.msb, decl.width.lsb
-    if isinstance(msb, ast.Number) and isinstance(lsb, ast.Number):
-        if msb.value >= lsb.value:
-            msb.value = lsb.value + bits - 1
-        else:
-            lsb.value = msb.value + bits - 1
+            _set_slot(log, lsb, "value", msb.value + count - 1)
 
 
 def t_assign_const(module, ctx, maps):
@@ -534,8 +550,8 @@ def t_assign_const(module, ctx, maps):
             edits.append(RepairEdit(
                 description="%s <= const %d"
                 % ("/".join(names) or "?", value),
-                apply=(lambda s=stmt, v=value:
-                       setattr(s, "rhs", ast.Number(v))),
+                apply=(lambda log, s=stmt, v=value:
+                       _set_slot(log, s, "rhs", ast.Number(v))),
                 anchor=anchor,
                 signal=names[0] if names else "",
             ))
@@ -565,15 +581,15 @@ def _invert_edit(owner, slot, cond, ctx, maps):
         return RepairEdit(
             description="condition !(%s) -> un-negated"
             % _expr_label(cond.operand),
-            apply=(lambda o=owner, s=slot, c=cond:
-                   setattr(o, s, c.operand)),
+            apply=(lambda log, o=owner, s=slot, c=cond:
+                   _set_slot(log, o, s, c.operand)),
             anchor=anchor,
             signal=_first_signal(anchor, ctx),
         )
     return RepairEdit(
         description="invert condition (%s)" % _expr_label(cond),
-        apply=(lambda o=owner, s=slot, c=cond:
-               setattr(o, s, ast.UnaryOp("!", c))),
+        apply=(lambda log, o=owner, s=slot, c=cond:
+               _set_slot(log, o, s, ast.UnaryOp("!", c))),
         anchor=anchor,
         signal=_first_signal(anchor, ctx),
     )
@@ -595,7 +611,8 @@ def t_drop_conjunct(module, ctx, maps):
             edits.append(RepairEdit(
                 description="drop conjunct (%s) from (%s)"
                 % (_expr_label(dropped), _expr_label(cond)),
-                apply=(lambda s=stmt, k=keep: setattr(s, "cond", k)),
+                apply=(lambda log, s=stmt, k=keep:
+                       _set_slot(log, s, "cond", k)),
                 anchor=anchor,
                 signal=_first_signal(anchor, ctx),
             ))
@@ -616,8 +633,8 @@ def t_swap_blocking(module, ctx, maps):
         names = _lhs_names(stmt)
         edits.append(RepairEdit(
             description="%s on %s" % (label, "/".join(names) or "?"),
-            apply=(lambda p=parent, sl=slot, s=stmt, c=new_cls:
-                   _set_slot(p, sl, c(
+            apply=(lambda log, p=parent, sl=slot, s=stmt, c=new_cls:
+                   _set_slot(log, p, sl, c(
                        lhs=s.lhs, rhs=s.rhs,
                        lineno=s.lineno, col=s.col,
                    ))),
@@ -652,7 +669,8 @@ def t_replace_rhs(module, ctx, maps):
             edits.append(RepairEdit(
                 description="assign %s = %s"
                 % ("/".join(names) or "?", label),
-                apply=(lambda i=item, m=make: setattr(i, "rhs", m())),
+                apply=(lambda log, i=item, m=make:
+                       _set_slot(log, i, "rhs", m())),
                 anchor=anchor,
                 signal=names[0] if names else "",
             ))
@@ -679,9 +697,9 @@ def t_add_guard(module, ctx, maps):
                 edits.append(RepairEdit(
                     description="strengthen if (%s) with && %s"
                     % (_expr_label(stmt.cond), label),
-                    apply=(lambda s=stmt, m=make:
-                           setattr(s, "cond",
-                                   ast.BinaryOp("&&", s.cond, m()))),
+                    apply=(lambda log, s=stmt, m=make:
+                           _set_slot(log, s, "cond",
+                                     ast.BinaryOp("&&", s.cond, m()))),
                     anchor=anchor,
                     signal=_first_signal(anchor, ctx),
                 ))
@@ -697,8 +715,9 @@ def t_add_guard(module, ctx, maps):
                 edits.append(RepairEdit(
                     description="guard %s with if (%s)"
                     % ("/".join(names) or "case arm", label),
-                    apply=(lambda p=parent, sl=slot, s=stmt, m=make:
-                           _set_slot(p, sl, ast.If(cond=m(), then_stmt=s))),
+                    apply=(lambda log, p=parent, sl=slot, s=stmt, m=make:
+                           _set_slot(log, p, sl,
+                                     ast.If(cond=m(), then_stmt=s))),
                     anchor=anchor,
                     signal=names[0] if names else _first_signal(anchor, ctx),
                 ))
@@ -709,9 +728,9 @@ def t_add_guard(module, ctx, maps):
                     edits.append(RepairEdit(
                         description="strengthen %s rhs with && %s"
                         % ("/".join(names) or "?", label),
-                        apply=(lambda s=stmt, m=make:
-                               setattr(s, "rhs",
-                                       ast.BinaryOp("&&", s.rhs, m()))),
+                        apply=(lambda log, s=stmt, m=make:
+                               _set_slot(log, s, "rhs",
+                                         ast.BinaryOp("&&", s.rhs, m()))),
                         anchor=anchor,
                         signal=names[0] if names else "",
                     ))
@@ -755,14 +774,16 @@ def t_conditional_overwrite(module, ctx, maps):
                 edits.append(RepairEdit(
                     description="append if (%s) %s <= %s"
                     % (g_label, name, v_label),
-                    apply=(lambda b=block, g=g_make, n=name, v=v_expr:
-                           b.statements.append(ast.If(
-                               cond=g(),
-                               then_stmt=ast.NonblockingAssign(
-                                   lhs=ast.Identifier(n),
-                                   rhs=copy.deepcopy(v),
+                    apply=(lambda log, b=block, g=g_make, n=name, v=v_expr:
+                           _set_slot(log, b, "statements", b.statements + [
+                               ast.If(
+                                   cond=g(),
+                                   then_stmt=ast.NonblockingAssign(
+                                       lhs=ast.Identifier(n),
+                                       rhs=copy.deepcopy(v),
+                                   ),
                                ),
-                           ))),
+                           ])),
                     anchor=anchor,
                     signal=name,
                 ))
@@ -898,92 +919,106 @@ def resolve_sites(source, top, sites):
     return order, contexts
 
 
-def _plan_edits(text, top, sites, templates, filename):
-    """The sorted edit plan: one lightweight tuple per enumerable edit.
+class RepairPlan:
+    """Every planned edit of one design, over one live AST.
 
-    Sorted by ``(template tier, site_rank, template order, module
-    order, edit index)`` — the deterministic order the search consumes
-    edits in: all precise edits (site-rank order) first, then the
-    generative guard/overwrite families, again best-localized first.
+    Built once per design: parse, resolve the sites, build the anchor
+    maps and run each template, then sort the edits by ``(template
+    tier, site_rank, template order, module order, edit index)`` — all
+    precise edits first, best-localized first, then the generative
+    guard/overwrite families in the same order. Each entry keeps its
+    :class:`RepairEdit`, whose closures point into :attr:`tree`. A
+    candidate is instantiated by applying that edit, rendering the tree
+    with :func:`repro.hdl.generate_source` and undoing the edit, so the
+    tree is pristine again before the next one.
+
+    The plan does all three jobs a search needs: :attr:`planned` (the
+    plan size), iteration (lazy candidates) and :meth:`instantiate`
+    (lookup by ``candidate_id``).
     """
-    base = parse(text, filename=filename or "<input>")
-    order, contexts = resolve_sites(base, top, sites)
-    chosen = [(name, TEMPLATES[name]) for name in (templates or TEMPLATE_NAMES)]
-    maps = build_anchor_maps(base)
-    entries = []
-    for t_index, (t_name, template) in enumerate(chosen):
-        for m_index, module_name in enumerate(order):
-            module = base.find_module(module_name)
-            edits = template(module, contexts[module_name], maps)
-            for e_index, edit in enumerate(edits):
-                rank = contexts[module_name].rank_of(edit.anchor)
-                entries.append(
-                    (rank, t_index, m_index, e_index, t_name, module_name,
-                     edit.description, edit.signal)
-                )
-    entries.sort(
-        key=lambda e: (TEMPLATE_TIERS.get(e[4], 0),) + e[:4]
-    )
-    return contexts, entries
 
+    def __init__(self, text, top, sites, templates=None, filename=""):
+        self.tree = parse(text, filename=filename or "<input>")
+        order, contexts = resolve_sites(self.tree, top, sites)
+        # Anchor maps key nodes by id(), so they must describe the
+        # pristine tree: build them before any edit runs.
+        maps = build_anchor_maps(self.tree)
+        #: The unedited design as the code generator renders it; an
+        #: edit that renders to this text is a no-op.
+        self.canonical = generate_source(self.tree)
+        entries = []
+        for t_index, t_name in enumerate(templates or TEMPLATE_NAMES):
+            tier = TEMPLATE_TIERS.get(t_name, 0)
+            for m_index, module_name in enumerate(order):
+                ctx = contexts[module_name]
+                module = self.tree.find_module(module_name)
+                edits = TEMPLATES[t_name](module, ctx, maps)
+                for e_index, edit in enumerate(edits):
+                    rank = ctx.rank_of(edit.anchor)
+                    entries.append((
+                        (tier, rank, t_index, m_index, e_index),
+                        "%s:%s:%d" % (t_name, module_name, e_index),
+                        t_name, module_name, edit,
+                    ))
+        entries.sort(key=lambda entry: entry[0])
+        self._entries = entries
 
-def _instantiate_entry(text, top, sites, templates, filename, entry):
-    """Apply one planned edit on a fresh parse of the pristine source."""
-    rank, _t_index, _m_index, e_index, t_name, module_name, desc, signal = entry
-    fresh = parse(text, filename=filename or "<input>")
-    _order, contexts = resolve_sites(fresh, top, sites)
-    maps = build_anchor_maps(fresh)
-    module = fresh.find_module(module_name)
-    edits = TEMPLATES[t_name](module, contexts[module_name], maps)
-    edit = edits[e_index]
-    edit.apply()
-    patched = generate_source(fresh)
-    if patched == text:
-        return None
-    return RepairCandidate(
-        candidate_id="%s:%s:%d" % (t_name, module_name, e_index),
-        template=t_name,
-        module=module_name,
-        description=desc,
-        signal=signal,
-        site_rank=rank,
-        text=patched,
-    )
+    @property
+    def planned(self):
+        """Size of the full edit plan, no-op edits included."""
+        return len(self._entries)
+
+    def __iter__(self):
+        """Candidates in plan order, each instantiated on demand; no-op
+        edits (rendering to :attr:`canonical`) are skipped."""
+        for entry in self._entries:
+            candidate = self._instantiate(entry)
+            if candidate is not None:
+                yield candidate
+
+    def instantiate(self, candidate_id):
+        """Re-create one candidate by its stable id."""
+        for entry in self._entries:
+            if entry[1] == candidate_id:
+                candidate = self._instantiate(entry)
+                if candidate is not None:
+                    return candidate
+        raise KeyError("no candidate %r" % candidate_id)
+
+    def _instantiate(self, entry):
+        key, candidate_id, t_name, module_name, edit = entry
+        log = []
+        try:
+            edit.apply(log)
+            text = generate_source(self.tree)
+        finally:
+            _undo(log)
+        if text == self.canonical:
+            return None
+        return RepairCandidate(
+            candidate_id=candidate_id,
+            template=t_name,
+            module=module_name,
+            description=edit.description,
+            signal=edit.signal,
+            site_rank=key[1],
+            text=text,
+        )
 
 
 def enumerate_candidates(text, top, sites, templates=None, filename=""):
-    """Yield candidate patches for *text* in site-rank order, lazily.
+    """Plan every edit of *text* once; returns the :class:`RepairPlan`.
 
-    Each yielded :class:`RepairCandidate` is instantiated on demand (a
-    fresh parse of the pristine source per candidate), so a search with
-    a budget of *N* only pays for *N* instantiations, however many edits
-    the plan holds. No-op edits (patched text identical to the
-    original) are skipped.
+    Iterating the plan yields candidate patches in site-rank order,
+    lazily: each is one edit applied to the plan's single live tree,
+    rendered and undone, so a search with a budget of *N* pays for *N*
+    renders however many edits the plan holds, and never re-parses.
     """
-    _contexts, entries = _plan_edits(text, top, sites, templates, filename)
-    for entry in entries:
-        candidate = _instantiate_entry(
-            text, top, sites, templates, filename, entry
-        )
-        if candidate is not None:
-            yield candidate
-
-
-def count_edits(text, top, sites, templates=None, filename=""):
-    """Size of the full edit plan (without instantiating anything)."""
-    _contexts, entries = _plan_edits(text, top, sites, templates, filename)
-    return len(entries)
+    return RepairPlan(text, top, sites, templates, filename)
 
 
 def instantiate(text, top, sites, candidate_id, templates=None, filename=""):
     """Re-create one candidate's patched text by its stable id."""
-    _contexts, entries = _plan_edits(text, top, sites, templates, filename)
-    for entry in entries:
-        _rank, _t, _m, e_index, t_name, module_name = entry[:6]
-        if "%s:%s:%d" % (t_name, module_name, e_index) == candidate_id:
-            candidate = _instantiate_entry(
-                text, top, sites, templates, filename, entry
-            )
-            if candidate is not None:
-                return candidate
-    raise KeyError("no candidate %r" % candidate_id)
+    return enumerate_candidates(
+        text, top, sites, templates, filename
+    ).instantiate(candidate_id)

@@ -134,8 +134,13 @@ class TestDependencyChain:
             ),
             blackboxes=DEFAULT_BLACKBOXES | {"mystery_ip"},
         ).top
-        with pytest.raises(KeyError, match="mystery_ip"):
+        with pytest.raises(KeyError, match="mystery_ip") as excinfo:
             dependency_chain(module, "q", 2)
+        # The message names the registry a custom model goes into.
+        assert str(excinfo.value) == repr(
+            "no IP analysis model for blackbox 'mystery_ip'; register "
+            "one in DEFAULT_IP_MODELS (repro.analysis.ip_models)"
+        )
         # The other readers of the blackbox resolver keep their policies.
         with pytest.raises(KeyError, match="mystery_ip"):
             build_propagation_table(module)

@@ -1,17 +1,20 @@
 """Tests for repro.repair: templates, sites, validation, ranking, CLI."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.hdl import ast_equal, parse
+from repro.fuzz.mutator import MutationAnchor
+from repro.hdl import ast_equal, ast_nodes, generate_source, parse
 from repro.repair import (
     RepairConfig,
+    RepairEdit,
     RepairSite,
     TEMPLATE_NAMES,
     TEMPLATES,
-    count_edits,
     enumerate_candidates,
     enumerate_sites,
     instantiate,
@@ -19,7 +22,10 @@ from repro.repair import (
     run_repair,
     unified_patch,
 )
+from repro.repair.templates import _set_slot
 from repro.repair.validate import baseline_result, bug_source_text
+from repro.testbed import BUG_IDS
+from repro.testbed.metadata import SPECS
 
 # A compact design exercising every template's trigger shapes: literals,
 # part selects, an array, a width, a constant continuous assign, &&
@@ -91,8 +97,6 @@ class TestTemplatePurity:
         assert len(candidates) > 50
         for candidate in candidates:
             reparsed = parse(candidate.text)
-            from repro.hdl import generate_source
-
             assert ast_equal(reparsed, parse(generate_source(reparsed)))
 
     def test_every_candidate_preserves_module_interface(self):
@@ -106,8 +110,42 @@ class TestTemplatePurity:
             assert got == expected, candidate.candidate_id
 
     def test_no_candidate_is_the_identity(self):
+        # Candidates are generated source, so the identity is the
+        # design as the code generator renders it, not the raw text.
+        canonical = generate_source(parse(_DESIGN))
         for candidate in _all_candidates():
-            assert candidate.text != _DESIGN
+            assert candidate.text != canonical
+
+    def test_noop_edit_is_skipped(self, monkeypatch):
+        def t_noop(module, ctx, maps):
+            # Rewrites the first literal to its own value.
+            number = next(
+                node for node in module.walk()
+                if isinstance(node, ast_nodes.Number)
+            )
+            return [RepairEdit(
+                description="noop",
+                apply=(lambda log, n=number:
+                       _set_slot(log, n, "value", n.value)),
+                anchor=MutationAnchor(),
+            )]
+
+        monkeypatch.setitem(TEMPLATES, "noop", t_noop)
+        plan = enumerate_candidates(
+            _DESIGN, _TOP, _SITES, templates=("noop", "drop_conjunct")
+        )
+        ids = [c.candidate_id for c in plan]
+        assert plan.planned == len(ids) + 1
+        assert ids and "noop:patchme:0" not in ids
+        with pytest.raises(KeyError):
+            plan.instantiate("noop:patchme:0")
+
+    def test_enumeration_leaves_the_tree_pristine(self):
+        plan = enumerate_candidates(_DESIGN, _TOP, _SITES)
+        assert len(list(plan)) == plan.planned
+        fresh = parse(_DESIGN)
+        assert ast_equal(plan.tree, fresh)
+        assert generate_source(plan.tree) == generate_source(fresh)
 
     def test_enumeration_is_deterministic(self):
         first = [(c.candidate_id, c.text) for c in _all_candidates()]
@@ -151,8 +189,51 @@ class TestTemplatePurity:
         assert ranks == sorted(ranks)
 
     def test_count_edits_covers_enumeration(self):
-        planned = count_edits(_DESIGN, _TOP, _SITES)
-        assert planned >= len(_all_candidates())
+        plan = enumerate_candidates(_DESIGN, _TOP, _SITES)
+        assert plan.planned >= len(list(plan))
+
+
+class TestCandidateSnapshot:
+    """Every testbed bug's candidate texts, pinned.
+
+    The snapshot was recorded with the earlier instantiation, which
+    re-parsed the pristine source for every candidate: per bug, the
+    plan size, the candidate count and a sha256 over the first 400
+    ``(candidate_id, text)`` pairs (sites without fault probing). A
+    full enumeration must also leave the plan's live tree equal to a
+    fresh parse, which catches an edit whose undo leaks.
+    """
+
+    SNAPSHOT = Path(__file__).parent / "fixtures" / "repair_candidates.json"
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads(self.SNAPSHOT.read_text())
+
+    @pytest.mark.parametrize("bug_id", BUG_IDS)
+    def test_candidates_match_snapshot(self, bug_id, expected):
+        spec = SPECS[bug_id]
+        text = bug_source_text(bug_id)
+        plan = enumerate_candidates(
+            text, spec.top, enumerate_sites(bug_id, use_faults=False),
+            filename=spec.design_file,
+        )
+        digest = hashlib.sha256()
+        count = 0
+        for candidate in plan:
+            count += 1
+            if count <= 400:
+                digest.update(json.dumps(
+                    [candidate.candidate_id, candidate.text]
+                ).encode() + b"\n")
+        assert {
+            "planned": plan.planned,
+            "candidates": count,
+            "sha256_first400": digest.hexdigest(),
+        } == expected[bug_id]
+        fresh = parse(text, filename=spec.design_file)
+        assert ast_equal(plan.tree, fresh)
+        assert generate_source(plan.tree) == generate_source(fresh)
 
 
 class TestSites:
