@@ -17,9 +17,11 @@ Three headline numbers:
 The fault-sensitivity localization pass is skipped here (``use_faults=
 False``) to keep the benchmark wall-clock dominated by the search
 itself rather than by site probing; the CI smoke job exercises the
-fault-localized path. The skip costs exactly one repair — D12's
-overwrite site is only surfaced by fault probing — so the default CLI
-configuration repairs 18/20 where this benchmark reports 17/20.
+fault-localized path. The skip costs no repair: this benchmark and the
+default CLI configuration both repair 17/20 (not C4, S3, D12). D12's
+overwrite site is only surfaced by fault probing, and with probing on
+its passing ``conditional_overwrite`` candidates lie past the default
+400-candidate budget (893 planned; ``--budget 900`` repairs it).
 """
 
 import time

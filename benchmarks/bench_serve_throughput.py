@@ -173,7 +173,7 @@ def _drive_sharded(tmp, worker_count):
     """Run the sharded campaign on *worker_count* TCP workers."""
     config = ServeConfig(
         port=0,
-        workers=0,  # no subprocess pool: TCP fabric only
+        workers=0,  # no local workers: TCP workers only
         watchdog=60.0,
         retries=2,
         backoff=0.05,

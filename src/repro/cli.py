@@ -1187,12 +1187,12 @@ def build_parser():
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes (default 2)",
+        help="local worker processes (default 2)",
     )
     serve.add_argument(
         "--watchdog", type=float, default=120.0, metavar="SECONDS",
-        help="per-attempt deadline before the worker is killed "
-        "(default 120)",
+        help="per-attempt deadline before the worker is killed or "
+        "its link cut (default 120)",
     )
     serve.add_argument(
         "--retries", type=int, default=2,
@@ -1258,7 +1258,7 @@ def build_parser():
     serve.add_argument(
         "--chaos-kill-prob", type=float, default=0.0,
         help="harness fault injection: probability each job attempt's "
-        "worker is SIGKILLed (default 0: off)",
+        "local worker is SIGKILLed (default 0: off)",
     )
     serve.add_argument(
         "--chaos-kill-delay", type=float, default=0.05, metavar="SECONDS",
@@ -1270,12 +1270,12 @@ def build_parser():
     )
     serve.add_argument(
         "--chaos-drop-prob", type=float, default=0.0,
-        help="fabric chaos: probability a result frame is dropped and "
-        "its connection cut (default 0: off)",
+        help="chaos: probability a result frame is dropped and its "
+        "link cut (default 0: off)",
     )
     serve.add_argument(
         "--chaos-stall-prob", type=float, default=0.0,
-        help="fabric chaos: probability a dispatch's heartbeats go "
+        help="chaos: probability a dispatch's heartbeats go "
         "unheard for --chaos-stall-duration seconds",
     )
     serve.add_argument(
@@ -1285,16 +1285,16 @@ def build_parser():
     )
     serve.add_argument(
         "--chaos-dup-prob", type=float, default=0.0,
-        help="fabric chaos: probability a result frame is applied twice",
+        help="chaos: probability a result frame is applied twice",
     )
     serve.add_argument(
         "--chaos-delay-prob", type=float, default=0.0,
-        help="fabric chaos: probability a result frame is applied late",
+        help="chaos: probability a result frame is applied late",
     )
     serve.add_argument(
         "--fabric-port", type=int, default=None, metavar="PORT",
         help="listen for TCP workers on PORT (0 picks a free one) "
-        "instead of spawning subprocess workers; start workers with "
+        "instead of starting local workers; start workers with "
         "`repro worker --connect HOST:PORT`",
     )
     serve.add_argument(
@@ -1303,11 +1303,11 @@ def build_parser():
     )
     serve.add_argument(
         "--heartbeat-interval", type=float, default=2.0, metavar="SECONDS",
-        help="fabric worker heartbeat period (default 2)",
+        help="worker heartbeat period (default 2)",
     )
     serve.add_argument(
         "--heartbeat-misses", type=int, default=3,
-        help="missed heartbeat intervals before a fabric worker is "
+        help="missed heartbeat intervals before a worker is "
         "declared suspect and its job requeued (default 3)",
     )
     serve.add_argument(

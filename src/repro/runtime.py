@@ -8,8 +8,8 @@ This module concentrates the machinery they share:
 * :func:`time_limit` — a wall-clock watchdog built on ``SIGALRM`` (a
   no-op on platforms without it, e.g. Windows). ``SIGALRM`` can only be
   armed on the main thread; off-main-thread callers get a clear
-  :class:`RuntimeError` pointing them at the process-kill watchdog
-  (:class:`repro.serve.watchdog.DeadlineWatchdog`) instead;
+  :class:`RuntimeError` pointing them at a :mod:`repro.serve` worker
+  process, whose deadline the server enforces by killing it, instead;
 * :func:`retry_with_backoff` — bounded retries with exponential backoff
   and optional jitter for transiently failing work;
 * :class:`JsonlJournal` — crash-safe incremental journaling: one JSON
@@ -49,10 +49,10 @@ def time_limit(seconds):
     ``SIGALRM`` handlers can only be installed from the main thread, so
     arming a limit anywhere else raises :class:`RuntimeError` up front
     (instead of the cryptic ``ValueError`` ``signal`` would emit).
-    Worker threads that need a wall-clock bound should run the work in a
-    subprocess monitored by
-    :class:`repro.serve.watchdog.DeadlineWatchdog`, which kills the
-    child on a monotonic deadline and works from any thread.
+    Worker threads that need a wall-clock bound should run the work in
+    a :mod:`repro.serve` worker process (submit it as a job to
+    :class:`repro.serve.FabricPool`): the server SIGKILLs the process on
+    a monotonic deadline, from any thread.
     """
     if not seconds or not HAS_ALARM:
         yield
@@ -60,8 +60,8 @@ def time_limit(seconds):
     if threading.current_thread() is not threading.main_thread():
         raise RuntimeError(
             "time_limit() arms SIGALRM and only works on the main thread; "
-            "run the work in a subprocess under "
-            "repro.serve.watchdog.DeadlineWatchdog instead"
+            "run the work in a repro.serve worker process "
+            "(repro.serve.FabricPool), whose deadline kills it, instead"
         )
 
     def handler(signum, frame):

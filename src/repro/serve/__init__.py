@@ -7,11 +7,16 @@ thesis to the serving layer itself: every subsystem (``check``,
 asynchronously executed *job* behind a stdlib-``asyncio``
 JSON-over-HTTP API, engineered for robustness end to end:
 
-* :mod:`~repro.serve.pool` — subprocess workers under a thread-safe
-  monotonic-deadline watchdog (:mod:`~repro.serve.watchdog`), with
-  kill/requeue on worker death, retry-with-backoff+jitter, and a
-  circuit breaker (:mod:`~repro.serve.breaker`) that quarantines a sick
-  job class instead of taking the server down;
+* :mod:`~repro.serve.fabric` — the one worker transport, one frame
+  protocol over two link kinds: local ``python -m repro.serve.worker``
+  children on their own pipes, and TCP workers (``python -m repro
+  worker --connect``), on this host or another. Every dispatch carries
+  a :mod:`~repro.serve.lease` epoch and one deadline; a hung attempt's
+  worker is killed or cut off, a dead worker's job is requeued with
+  backoff and jitter, a partitioned worker's stale result is fenced,
+  never double-applied, and a circuit breaker
+  (:mod:`~repro.serve.breaker`) quarantines a sick job class instead of
+  taking the server down;
 * :mod:`~repro.serve.cache` — content-addressed artifact cache keyed by
   source digest: bounded, LRU-evicted, verified on read (a corrupt
   entry costs a recompute, never a crash);
@@ -21,13 +26,8 @@ JSON-over-HTTP API, engineered for robustness end to end:
   results and a deterministic final report;
 * :mod:`~repro.serve.quota` — per-client token buckets with structured
   429s; :mod:`~repro.serve.chaos` — seeded harness-level fault
-  injection (worker SIGKILLs, dropped/stalled/duplicated/delayed
-  fabric frames) used by the chaos acceptance tests;
-* :mod:`~repro.serve.fabric` — TCP worker transport: remote workers
-  (``python -m repro worker --connect``) speak length-prefixed JSON
-  frames with heartbeats, and every dispatch carries a
-  :mod:`~repro.serve.lease` epoch so a partitioned worker's stale
-  result is fenced, never double-applied;
+  injection (local worker SIGKILLs, dropped/stalled/duplicated/delayed
+  frames on any link) used by the chaos acceptance tests;
 * :mod:`~repro.serve.shard` — partition-tolerant campaign sharding:
   fuzz/faults/repair campaigns split into deterministic sub-ranges
   fanned across workers, merged byte-identical to the unsharded run.
@@ -51,13 +51,11 @@ from .jobs import (
     payload_digest,
 )
 from .lease import LeaseTable
-from .pool import WorkerPool
 from .quota import TokenBucketQuota
 from .server import ReproServer, ServeConfig, ShardCoordinator
 from .shard import SHARDABLE_KINDS, merge_shards, plan_shards, shard_count
 from .store import SCHEMA, JobStore
 from .transport import WorkerTransport
-from .watchdog import DeadlineWatchdog
 
 __all__ = [
     "SCHEMA",
@@ -71,10 +69,8 @@ __all__ = [
     "job_cache_key",
     "payload_digest",
     "ArtifactCache",
-    "DeadlineWatchdog",
     "CircuitBreaker",
     "TokenBucketQuota",
-    "WorkerPool",
     "WorkerTransport",
     "FabricPool",
     "FrameError",

@@ -26,7 +26,7 @@ assumes:
   discarded and rebuilt, never trusted.
 
 Thread-safe: the server's asyncio thread checks for hits at submit
-time while pool manager threads insert finished results.
+time while the worker transport's loop thread inserts finished results.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The rest of the repo injects faults into *designs*; this module injects
 them into the *server* — the same philosophy turned inward. A
 :class:`ChaosMonkey` decides, deterministically per ``(job, attempt)``,
-whether to SIGKILL the worker mid-job, and — on the TCP fabric — whether
-to drop, duplicate, or delay a result frame or stall a worker's
-heartbeats past the miss window. Determinism matters: the chaos
+whether to SIGKILL a local worker mid-job, and — on any link, local or
+TCP — whether to drop, duplicate, or delay a result frame or stall a
+worker's heartbeats past the miss window. Determinism matters: the chaos
 acceptance test demands that a campaign run under chaos, killed halfway
 and resumed, produce a final report byte-identical to an uninterrupted
 chaos run — which only holds if the monkey's choices depend on job
@@ -31,23 +31,25 @@ class ChaosConfig:
 
     seed: int = 0
     #: Probability that any given (job, attempt) execution gets its
-    #: worker SIGKILLed partway through.
+    #: worker SIGKILLed partway through. Local workers only: a TCP
+    #: worker is not the server's process to kill.
     kill_prob: float = 0.0
     #: Upper bound, in seconds, on how far into the attempt the kill
     #: lands (the actual delay is a deterministic fraction of this).
     kill_delay: float = 0.05
-    #: Fabric-only: probability that a result frame is "lost" and the
-    #: connection that carried it dropped (seeded connection drop).
+    #: Probability that a result frame is "lost" and the link that
+    #: carried it dropped (seeded connection drop; a local child is
+    #: killed).
     drop_prob: float = 0.0
-    #: Fabric-only: probability that a worker's heartbeats go unheard
+    #: Probability that a worker's heartbeats go unheard
     #: for ``stall_duration`` seconds after a dispatch — long enough to
     #: trip the miss window and mark the worker suspect.
     stall_prob: float = 0.0
     stall_duration: float = 0.0
-    #: Fabric-only: probability that a result frame is applied twice
+    #: Probability that a result frame is applied twice
     #: (duplicate delivery — must be a no-op thanks to the lease fence).
     dup_prob: float = 0.0
-    #: Fabric-only: probability that a result frame is applied late, up
+    #: Probability that a result frame is applied late, up
     #: to ``delay_max`` seconds after arrival.
     delay_prob: float = 0.0
     delay_max: float = 0.1
@@ -64,8 +66,8 @@ class ChaosMonkey:
 
     Every roll is keyed ``(seed, job_id, attempt-or-epoch, salt)``, so a
     chaos campaign replays identically across runs and ``--resume`` —
-    the fabric passes the lease epoch where the pool passes the attempt
-    number; both are per-execution identities.
+    kills are keyed by the attempt number, frame faults by the lease
+    epoch; both are per-execution identities.
     """
 
     def __init__(self, config):

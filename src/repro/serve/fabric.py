@@ -1,48 +1,68 @@
-"""TCP worker fabric: multi-node workers behind the transport interface.
+"""The worker transport: one frame protocol over two kinds of link.
 
-``repro serve --fabric-port P`` listens for workers started with
-``python -m repro worker --connect HOST:P --token T`` — separate
-processes on this host or any other. The wire protocol is JSON frames
-with an 8-hex-digit length prefix (:func:`encode_frame`), opened by a
-version-checked, token-authenticated handshake:
+Every job reaches a worker through :class:`FabricPool`, over one of two
+link kinds that speak the same protocol and follow the same rules:
+
+* a **local link** — with ``workers=N``, the pool keeps N slots, each
+  holding one ``python -u -m repro.serve.worker`` child that it starts
+  when a job first needs it and restarts on demand after it dies
+  (``worker_restarts``); frames travel over the child's stdin/stdout,
+  so no socket is opened and a child whose server is gone sees EOF;
+* a **TCP link** — with a ``port`` (0 picks a free one), the pool also
+  listens for workers started with ``python -m repro worker --connect
+  HOST:PORT --token T``, on this host or any other. With ``port=None``
+  no listener is opened at all.
+
+The wire protocol is JSON frames with an 8-hex-digit length prefix
+(:func:`encode_frame`), opened by a version-checked handshake (a TCP
+worker must also present the token; a local child is the server's own
+and needs none):
 
     worker -> {"type": "hello", "proto": 1, "token": T, "worker": W}
     server -> {"type": "welcome", "proto": 1, "heartbeat": H,
                "watchdog": D}
 
 after which the server pushes ``job`` frames (carrying the job, the
-attempt number, and the **lease epoch**) and the worker returns
-``result`` frames echoing that epoch. ``cancel`` tells a worker its
-lease was fenced (best effort — a busy worker sees it late) and ``bye``
-announces server shutdown.
+attempt number, the **lease epoch** and a backstop ``deadline``) and
+the worker returns ``result`` frames echoing that epoch. ``cancel``
+tells a worker its lease was fenced (best effort — a busy worker sees
+it late) and ``bye`` announces server shutdown. Nothing is sent to a
+link before its hello, so interpreter start-up is never charged to a
+job's deadline.
 
 Robustness model (see :mod:`~repro.serve.lease` for the fencing story):
 
+* **one deadline rule** — each dispatch gets ``watchdog_seconds``. When
+  they pass, the lease is fenced, the attempt ends ``timeout``
+  ("watchdog kill after N s", counted in ``watchdog_kills``) and the
+  link goes: a local child is SIGKILLed, a TCP link closed. The job
+  frame's ``deadline`` (``watchdog_seconds`` plus two heartbeat
+  intervals) arms the worker's own ``SIGALRM`` limit as a backstop, so
+  a remote worker whose link was cut still stops a runaway job;
 * every worker heartbeats on a side thread; the server tracks a
-  monotonic last-beat per connection and declares a worker **suspect**
-  after ``heartbeat_misses`` missed intervals — its in-flight job is
-  requeued and its lease fenced, but the socket stays open, because a
+  monotonic last-beat per link and declares a worker **suspect** after
+  ``heartbeat_misses`` missed intervals — its in-flight job is
+  requeued and its lease fenced, but the link stays open, because a
   partitioned worker is indistinguishable from a dead one. If it comes
   back, it rejoins the pool; the result it was holding arrives with a
   stale epoch and is rejected, never double-applied;
-* a closed connection (crash, SIGKILL, network teardown) requeues the
+* a link that ends (crash, SIGKILL, network teardown) requeues its
   in-flight job through the shared backoff/breaker machinery;
-* a per-dispatch server-side deadline (the worker also arms its own
-  ``SIGALRM`` limit from the handshake's ``watchdog``) bounds wedged
-  workers that still heartbeat;
-* the :class:`~repro.serve.chaos.ChaosMonkey` injects seeded connection
-  drops, heartbeat stalls, and duplicated/delayed result frames here —
-  the acceptance tests run whole sharded campaigns under all of them.
+* the :class:`~repro.serve.chaos.ChaosMonkey` SIGKILLs local children
+  at seeded points and drops, stalls, duplicates and delays frames on
+  any link — the acceptance tests run whole campaigns under them.
 
-The fabric runs its own asyncio loop on a daemon thread, so it plugs
-into the synchronous :class:`~repro.serve.transport.WorkerTransport`
-contract exactly like the subprocess pool.
+The pool runs its own asyncio loop on a daemon thread behind the
+synchronous :class:`~repro.serve.transport.WorkerTransport` contract.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -119,16 +139,22 @@ def read_frame_blocking(stream):
     return _parse_body(body)
 
 
-class _FabricWorker:
-    """Server-side state for one connected worker."""
+class _Link:
+    """Server-side state for one worker link (local child or TCP)."""
 
-    def __init__(self, writer, worker_id, now):
+    def __init__(self, worker_id, writer=None, slot=None):
         self.writer = writer
         self.worker_id = worker_id
-        self.job = None  # in-flight Job, or None when idle
+        #: Local slot index, or None for a TCP link.
+        self.slot = slot
+        self.proc = None  # the local child, once started
+        #: True once the worker's hello was accepted; a TCP link is
+        #: only created then, a local one at spawn.
+        self.ready = writer is not None
+        self.job = None  # in-flight (or, before hello, bound) Job
         self.epoch = 0
-        self.deadline_handle = None
-        self.last_beat = now
+        self.timers = []  # deadline and chaos-kill handles
+        self.last_beat = time.monotonic()
         #: Heartbeats received before this instant are ignored (chaos
         #: stall injection) — the server goes deaf to this worker.
         self.deaf_until = 0.0
@@ -143,9 +169,10 @@ class _FabricWorker:
 
 
 class FabricPool(WorkerTransport):
-    """Worker transport over TCP with lease-fenced exactly-once results."""
+    """The worker transport: local pipe children and/or TCP workers,
+    with lease-fenced exactly-once results."""
 
-    def __init__(self, host="127.0.0.1", port=0, token="",
+    def __init__(self, workers=0, host="127.0.0.1", port=None, token="",
                  heartbeat_interval=2.0, heartbeat_misses=3, **kwargs):
         super().__init__(**kwargs)
         self.host = host
@@ -159,7 +186,6 @@ class FabricPool(WorkerTransport):
             "handshake_rejected": 0,
             "heartbeat_misses": 0,
             "disconnect_requeues": 0,
-            "deadline_requeues": 0,
             "straggler_redispatches": 0,
             "chaos_drops": 0,
             "chaos_stalls": 0,
@@ -168,7 +194,12 @@ class FabricPool(WorkerTransport):
         })
         self._pending = []  # dispatch queue (loop thread only)
         self._by_id = {}  # job id -> Job, for frames about non-current work
-        self._conns = set()
+        self._links = set()
+        #: Local slots: the live link in each, and whether it ever
+        #: started a child (a later start is a restart).
+        self._slots = [None] * max(0, workers)
+        self._started = [False] * len(self._slots)
+        self._local_tasks = set()
         self._server = None
         self._loop = None
         self._ready = threading.Event()
@@ -178,13 +209,10 @@ class FabricPool(WorkerTransport):
         )
         self._thread.start()
         if not self._ready.wait(timeout=30.0) or self._loop is None:
-            raise RuntimeError(
-                "fabric listener failed to start: %s"
-                % (self._startup_error or "timeout")
-            )
+            self._startup_error = self._startup_error or "timeout"
         if self._startup_error is not None:
             raise RuntimeError(
-                "fabric listener failed to start: %s" % self._startup_error
+                "worker transport failed to start: %s" % self._startup_error
             )
 
     # -- loop lifecycle ------------------------------------------------------
@@ -210,34 +238,42 @@ class FabricPool(WorkerTransport):
             loop.close()
 
     async def _start(self):
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self._requested_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        if self._requested_port is not None:
+            self._server = await asyncio.start_server(
+                self._handle_conn, self.host, self._requested_port
+            )
+            self.port = self._server.sockets[0].getsockname()[1]
         self._monitor_task = asyncio.get_event_loop().create_task(
             self._monitor()
         )
 
     def close(self):
+        """Dismiss TCP workers, kill and reap local children. Non-terminal
+        jobs stay journaled as incomplete for ``--resume``."""
         if not self._mark_closed():
             return
         if self._loop is None:
             return
-
-        def _shutdown():
-            for conn in list(self._conns):
-                self._send(conn, {"type": "bye"})
-                self._close_conn(conn)
-            if self._server is not None:
-                self._server.close()
-            self._monitor_task.cancel()
-            self._loop.stop()
-
         try:
-            self._loop.call_soon_threadsafe(_shutdown)
-        except RuntimeError:
-            return
+            asyncio.run_coroutine_threadsafe(
+                self._shutdown(), self._loop
+            ).result(timeout=10.0)
+        except TimeoutError:
+            pass  # still stop the loop
+        self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
+
+    async def _shutdown(self):
+        for link in list(self._links):
+            if link.slot is None:
+                self._send(link, {"type": "bye"})
+            self._close_conn(link)
+        if self._server is not None:
+            self._server.close()
+        self._monitor_task.cancel()
+        if self._local_tasks:
+            # Every local link's task ends by reaping its child.
+            await asyncio.wait(list(self._local_tasks), timeout=5.0)
 
     # -- transport interface -------------------------------------------------
 
@@ -262,10 +298,10 @@ class FabricPool(WorkerTransport):
         return len(self._pending)
 
     def workers(self):
-        """Connected (non-suspect) worker count — a metrics gauge."""
+        """Ready (handshaken, non-suspect) worker count — a metrics gauge."""
         return sum(
-            1 for conn in self._conns
-            if not conn.closed and not conn.suspect
+            1 for link in list(self._links)
+            if link.ready and not link.closed and not link.suspect
         )
 
     def kick(self, job):
@@ -284,18 +320,18 @@ class FabricPool(WorkerTransport):
     def _kick(self, job):
         if job.terminal or job in self._pending:
             return
-        for conn in self._conns:
-            if conn.job is job:
+        for link in self._links:
+            if link.job is job:
                 self._count("straggler_redispatches")
                 self.leases.revoke(job.id)
-                self._send(conn, {"type": "cancel", "id": job.id,
-                                  "epoch": conn.epoch})
-                self._clear_dispatch(conn)
+                self._send(link, {"type": "cancel", "id": job.id,
+                                  "epoch": link.epoch})
+                self._clear_dispatch(link)
                 job.status = QUEUED
                 # Prefer a different worker — handing the job straight
                 # back to the straggler would defeat the redispatch.
                 other = next(
-                    (c for c in self._conns if c.idle and c is not conn),
+                    (c for c in self._links if c.idle and c is not link),
                     None,
                 )
                 if other is not None:
@@ -318,13 +354,53 @@ class FabricPool(WorkerTransport):
                 lambda: self._loop.call_later(delay, _requeue)
             )
 
+    # -- local children (loop thread) ----------------------------------------
+
+    def _spawn_local(self):
+        """Start a child in a free local slot; None when none is free."""
+        try:
+            slot = self._slots.index(None)
+        except ValueError:
+            return None
+        if self._started[slot]:
+            self._count("worker_restarts")
+        self._started[slot] = True
+        link = _Link("local%d" % slot, slot=slot)
+        self._slots[slot] = link
+        self._links.add(link)
+        task = self._loop.create_task(self._run_local(link))
+        self._local_tasks.add(task)
+        task.add_done_callback(self._local_tasks.discard)
+        return link
+
+    async def _run_local(self, link):
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-u", "-m", "repro.serve.worker",
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+            )
+        except OSError:
+            self._on_disconnect(link)
+            return
+        link.proc, link.writer = proc, proc.stdin
+        if link.closed:  # the pool closed while the child started
+            self._close_conn(link)
+        try:
+            await self._handle_conn(proc.stdout, proc.stdin, link)
+        finally:
+            await proc.wait()
+
     # -- connection handling (loop thread) -----------------------------------
 
-    async def _handle_conn(self, reader, writer):
-        conn = None
+    async def _handle_conn(self, reader, writer, link=None):
+        """Serve one link: a TCP connection, or a local child's pipes
+        (*link* is then the slot's link, created at spawn)."""
         try:
             hello = await read_frame(reader)
-            problem = self._vet_hello(hello)
+            if hello is None or (link is not None and link.closed):
+                return  # gone (or cut) before its hello
+            problem = self._vet_hello(hello, local=link is not None)
             if problem is not None:
                 self._count("handshake_rejected")
                 writer.write(encode_frame(
@@ -332,10 +408,11 @@ class FabricPool(WorkerTransport):
                 ))
                 await writer.drain()
                 return
-            conn = _FabricWorker(
-                writer, hello.get("worker") or "anonymous", time.monotonic()
-            )
-            self._conns.add(conn)
+            if link is None:
+                link = _Link(hello.get("worker") or "anonymous", writer)
+                self._links.add(link)
+            link.ready = True
+            link.last_beat = time.monotonic()
             self._count("workers_seen")
             writer.write(encode_frame({
                 "type": "welcome",
@@ -344,92 +421,110 @@ class FabricPool(WorkerTransport):
                 "watchdog": self.watchdog_seconds,
             }))
             await writer.drain()
+            if link.job is not None:
+                self._send_job(link)  # bound while the child started
             self._pump()
             while True:
-                try:
-                    frame = await read_frame(reader)
-                except FrameError:
-                    break  # protocol violation: drop the worker
+                frame = await read_frame(reader)
                 if frame is None:
                     break
-                self._on_frame(conn, frame)
-        except (ConnectionError, OSError):
-            pass
+                self._on_frame(link, frame)
+        except (ConnectionError, OSError, FrameError):
+            pass  # a dead peer or a protocol violation drops the link
         finally:
-            if conn is not None:
-                self._on_disconnect(conn)
+            if link is not None:
+                self._on_disconnect(link)
             try:
                 writer.close()
             except Exception:  # noqa: BLE001
                 pass
 
-    def _vet_hello(self, hello):
-        if hello is None or hello.get("type") != "hello":
+    def _vet_hello(self, hello, local):
+        if hello.get("type") != "hello":
             return "expected a hello frame"
         if hello.get("proto") != PROTO_VERSION:
             return (
                 "protocol version mismatch: server speaks %d, worker %r"
                 % (PROTO_VERSION, hello.get("proto"))
             )
-        if self.token and hello.get("token") != self.token:
+        if not local and self.token and hello.get("token") != self.token:
             return "bad token"
         return None
 
-    def _send(self, conn, obj):
-        if conn.closed:
-            return
+    def _send(self, link, obj):
+        if link.closed or not link.ready:
+            return  # nothing goes to a link before its hello
         try:
-            conn.writer.write(encode_frame(obj))
+            link.writer.write(encode_frame(obj))
         except (ConnectionError, OSError, RuntimeError):
-            self._close_conn(conn)
+            self._close_conn(link)
 
-    def _close_conn(self, conn):
-        conn.closed = True
-        try:
-            conn.writer.close()
-        except Exception:  # noqa: BLE001
-            pass
+    def _close_conn(self, link):
+        """Take *link* down: SIGKILL a local child, close a TCP socket."""
+        link.closed = True
+        if link.proc is not None and link.proc.returncode is None:
+            # os.kill, not Process.kill: that polls, and a poll can reap
+            # a child that just died behind the loop's child watcher.
+            try:
+                os.kill(link.proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if link.writer is not None:
+            try:
+                link.writer.close()
+            except Exception:  # noqa: BLE001
+                pass
 
-    def _on_disconnect(self, conn):
-        self._conns.discard(conn)
-        conn.closed = True
-        job, epoch = conn.job, conn.epoch
-        self._clear_dispatch(conn)
+    def _on_disconnect(self, link):
+        self._links.discard(link)
+        if link.slot is not None:
+            self._slots[link.slot] = None
+        self._close_conn(link)
+        job, epoch = link.job, link.epoch
+        self._clear_dispatch(link)
         if job is not None and not job.terminal and not self.closed:
-            if self.abandon(job, epoch,
-                            error="worker %r connection lost"
-                                  % conn.worker_id):
+            error = ("worker died" if link.slot is not None
+                     else "worker %r connection lost" % link.worker_id)
+            if self.abandon(job, epoch, error=error):
                 self._count("disconnect_requeues")
+        self._pump()  # a local slot freed: respawn if work is waiting
 
     # -- frames from workers -------------------------------------------------
 
-    def _on_frame(self, conn, frame):
+    def _on_frame(self, link, frame):
         now = time.monotonic()
         kind = frame.get("type")
         if kind == "heartbeat":
-            if now < conn.deaf_until:
+            if now < link.deaf_until:
                 return  # chaos stall: the server has gone deaf
-            conn.last_beat = now
-            self._rejoin(conn)
+            link.last_beat = now
+            self._rejoin(link)
             return
         if kind == "result":
-            conn.last_beat = now
-            self._rejoin(conn)
-            self._on_result(conn, frame)
+            link.last_beat = now
+            self._rejoin(link)
+            self._on_result(link, frame)
             return
         # Unknown frame types are ignored (forward compatibility).
 
-    def _rejoin(self, conn):
-        if conn.suspect and not conn.closed:
-            conn.suspect = False  # the partition healed
+    def _rejoin(self, link):
+        if link.suspect and not link.closed:
+            link.suspect = False  # the partition healed
             self._pump()
 
-    def _on_result(self, conn, frame):
+    def _on_result(self, link, frame):
         job_id = frame.get("id")
         epoch = int(frame.get("epoch", 0))
-        if conn.job is not None and conn.job.id == job_id \
-                and conn.epoch == epoch:
-            self._clear_dispatch(conn)
+        if self.chaos is not None and self.chaos.drop_result(job_id, epoch):
+            # Seeded connection drop: the frame never "arrived" and the
+            # link that carried it goes down with it — attempt and all,
+            # so the disconnect requeues the job.
+            self._count("chaos_drops")
+            self._close_conn(link)
+            return
+        if link.job is not None and link.job.id == job_id \
+                and link.epoch == epoch:
+            self._clear_dispatch(link)
         job = self._by_id.get(job_id)
         if job is None:
             # Finished and forgotten: a very late echo. Count the fence.
@@ -437,21 +532,12 @@ class FabricPool(WorkerTransport):
             self._count("stale_rejected")
             self._pump()
             return
-        deliveries = 1
+        deliveries, delay = 1, None
         if self.chaos is not None:
-            if self.chaos.drop_result(job_id, epoch):
-                # Seeded connection drop: the frame never "arrived" and
-                # the link that carried it goes down with it.
-                self._count("chaos_drops")
-                self._close_conn(conn)
-                self._pump()
-                return
             if self.chaos.duplicate_result(job_id, epoch):
                 self._count("chaos_dups")
                 deliveries = 2
             delay = self.chaos.delay_result(job_id, epoch)
-        else:
-            delay = None
 
         def _apply():
             applied = self.deliver(
@@ -479,69 +565,84 @@ class FabricPool(WorkerTransport):
         if self.closed:
             return
         while self._pending:
-            conn = next(
-                (c for c in self._conns if c.idle), None
-            )
-            if conn is None:
-                return
+            link = next((c for c in self._links if c.idle), None)
+            if link is None:
+                link = self._spawn_local()
+                if link is None:
+                    break
             job = self._pending.pop(0)
             if job.terminal:
                 continue
-            self._dispatch(conn, job)
+            self._dispatch(link, job)
         self._gauge_depth()
 
-    def _dispatch(self, conn, job):
+    def _dispatch(self, link, job):
+        """Grant a lease and bind *job* to *link*; a link that has not
+        said hello yet gets the frame when it does."""
         lease = self.leases.grant(job.id)
         job.attempts += 1
         job.status = RUNNING
         self._count("executions")
-        conn.job = job
-        conn.epoch = lease.epoch
-        if self.chaos is not None:
-            stall = self.chaos.stall_after(job.id, lease.epoch)
+        link.job = job
+        link.epoch = lease.epoch
+        if link.ready:
+            self._send_job(link)
+
+    def _send_job(self, link):
+        """Put the bound job on the wire and start its clocks."""
+        job, epoch = link.job, link.epoch
+        chaos = self.chaos
+        if chaos is not None:
+            stall = chaos.stall_after(job.id, epoch)
             if stall is not None:
                 self._count("chaos_stalls")
                 now = time.monotonic()
-                conn.deaf_until = now + stall
+                link.deaf_until = now + stall
                 # The stall must be able to out-age the miss window, or
                 # it would be invisible; backdate the last beat so the
                 # monitor sees a worker that just went quiet.
-                conn.last_beat = min(conn.last_beat, now)
-        self._send(conn, {
+                link.last_beat = min(link.last_beat, now)
+        self._send(link, {
             "type": "job",
             "id": job.id,
             "kind": job.kind,
             "params": job.params,
             "attempt": job.attempts,
-            "epoch": lease.epoch,
-            "deadline": self.watchdog_seconds,
+            "epoch": epoch,
+            "deadline": self.watchdog_seconds
+                        + 2.0 * self.heartbeat_interval,
         })
-        grace = 2.0 * self.heartbeat_interval
-        conn.deadline_handle = self._loop.call_later(
-            self.watchdog_seconds + grace,
-            self._on_deadline, conn, job, lease.epoch,
-        )
+        link.timers.append(self._loop.call_later(
+            self.watchdog_seconds, self._cut, link, job, epoch,
+            "watchdog_kills", TIMEOUT,
+            "watchdog kill after %.1fs" % self.watchdog_seconds,
+        ))
+        if chaos is not None and link.proc is not None:
+            # Keyed by attempt, not epoch: the kill schedule for a seed
+            # must not shift with lease bookkeeping.
+            kill_after = chaos.kill_after(job.id, job.attempts)
+            if kill_after is not None:
+                link.timers.append(self._loop.call_later(
+                    kill_after, self._cut, link, job, epoch,
+                    "chaos_kills", CRASHED, "worker died",
+                ))
 
-    def _clear_dispatch(self, conn):
-        conn.job = None
-        conn.epoch = 0
-        if conn.deadline_handle is not None:
-            conn.deadline_handle.cancel()
-            conn.deadline_handle = None
+    def _clear_dispatch(self, link):
+        link.job = None
+        link.epoch = 0
+        for timer in link.timers:
+            timer.cancel()
+        link.timers = []
 
-    def _on_deadline(self, conn, job, epoch):
-        """The dispatch outlived worker-side limits: fence and requeue."""
-        if conn.job is not job or conn.epoch != epoch:
+    def _cut(self, link, job, epoch, counter, status, error):
+        """A deadline or a chaos kill hit a dispatch: fence the attempt,
+        take the link down, and requeue or finalize the job."""
+        if link.job is not job or link.epoch != epoch:
             return
-        self._count("watchdog_kills")
-        self._clear_dispatch(conn)
-        # The worker still heartbeats but cannot finish: treat the
-        # connection as lost so a wedged interpreter cannot hold a slot.
-        self._close_conn(conn)
-        if self.abandon(job, epoch, status=TIMEOUT,
-                        error="fabric deadline after %.1fs"
-                              % self.watchdog_seconds):
-            self._count("deadline_requeues")
+        self._count(counter)
+        self._clear_dispatch(link)
+        self._close_conn(link)
+        self.abandon(job, epoch, status=status, error=error)
 
     # -- heartbeat monitor ---------------------------------------------------
 
@@ -551,19 +652,19 @@ class FabricPool(WorkerTransport):
         while True:
             await asyncio.sleep(period)
             now = time.monotonic()
-            for conn in list(self._conns):
-                if conn.closed or conn.suspect:
+            for link in list(self._links):
+                if link.closed or link.suspect or not link.ready:
                     continue
-                if now - conn.last_beat <= window:
+                if now - link.last_beat <= window:
                     continue
                 self._count("heartbeat_misses")
-                conn.suspect = True
-                job, epoch = conn.job, conn.epoch
-                self._clear_dispatch(conn)
+                link.suspect = True
+                job, epoch = link.job, link.epoch
+                self._clear_dispatch(link)
                 if job is not None and not job.terminal:
                     self.abandon(
                         job, epoch, status=CRASHED,
                         error="worker %r missed %d heartbeats"
-                              % (conn.worker_id, self.heartbeat_misses),
+                              % (link.worker_id, self.heartbeat_misses),
                     )
             self._pump()

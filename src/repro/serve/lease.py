@@ -37,11 +37,6 @@ class Lease:
     job_id: str
     epoch: int
 
-    @property
-    def token(self):
-        """Stable string form, used as the watchdog/obs token."""
-        return "%s@%d" % (self.job_id, self.epoch)
-
 
 class LeaseTable:
     """Per-job monotonic lease epochs (thread-safe)."""

@@ -6,7 +6,8 @@ JSON-over-HTTP front end:
 * ``POST /jobs`` — submit ``{"kind": ..., "params": {...}}``; admission
   runs per-client token-bucket quotas (structured 429 + ``Retry-After``)
   and the content-addressed cache (a hit completes the job instantly);
-  misses go to the process worker pool with its deadline watchdog,
+  misses go to the worker transport (local pipe children, or TCP
+  workers with ``--fabric-port``) with its per-dispatch deadline,
   requeue-on-death, and circuit breaker;
 * ``GET /jobs`` / ``GET /jobs/<id>`` — status and results;
 * ``GET /metrics`` — queue depth, cache hit rate, retries, watchdog
@@ -31,10 +32,10 @@ from .. import obs
 from .breaker import CircuitBreaker
 from .cache import ArtifactCache
 from .chaos import ChaosConfig, ChaosMonkey
+from .fabric import FabricPool
 from .http import HttpError, json_response, parse_json_body, read_request
 from .jobs import DONE, FAILED, JOB_KINDS, JobError, job_cache_key
 from .lease import LeaseTable
-from .pool import WorkerPool
 from .quota import TokenBucketQuota
 from .shard import SHARDABLE_KINDS, merge_shards, plan_shards, shard_count
 from .store import JobStore
@@ -87,10 +88,10 @@ class ServeConfig:
         self.report_path = report_path
         self.drain_timeout = drain_timeout
         self.chaos = chaos or ChaosConfig()
-        #: TCP fabric listener port (None disables the fabric; 0 binds
+        #: TCP fabric listener port (None opens no listener; 0 binds
         #: an ephemeral port). When set, jobs run on externally started
-        #: ``repro worker --connect`` processes instead of the
-        #: subprocess pool.
+        #: ``repro worker --connect`` processes instead of ``workers``
+        #: local children.
         self.fabric_port = fabric_port
         self.fabric_token = fabric_token
         self.heartbeat_interval = heartbeat_interval
@@ -271,7 +272,13 @@ class ReproServer:
         self.coordinator = ShardCoordinator(
             self, straggler_after=config.straggler_after
         )
-        transport_kwargs = dict(
+        self.pool = FabricPool(
+            workers=config.workers if config.fabric_port is None else 0,
+            host=config.host,
+            port=config.fabric_port,
+            token=config.fabric_token,
+            heartbeat_interval=config.heartbeat_interval,
+            heartbeat_misses=config.heartbeat_misses,
             watchdog_seconds=config.watchdog,
             retries=config.retries,
             backoff=config.backoff,
@@ -284,21 +291,6 @@ class ReproServer:
             store=self.store,
             on_done=self._job_finished,
         )
-        if config.fabric_port is not None:
-            from .fabric import FabricPool
-
-            self.pool = FabricPool(
-                host=config.host,
-                port=config.fabric_port,
-                token=config.fabric_token,
-                heartbeat_interval=config.heartbeat_interval,
-                heartbeat_misses=config.heartbeat_misses,
-                **transport_kwargs,
-            )
-        else:
-            self.pool = WorkerPool(
-                workers=config.workers, **transport_kwargs
-            )
         self.port = None
         self.draining = False
         self.started_at = time.monotonic()
@@ -310,7 +302,7 @@ class ReproServer:
         self._thread = None
         self._exit_code = 0
 
-    # -- job completion (pool manager threads) ------------------------------
+    # -- job completion (transport loop thread) -----------------------------
 
     def _job_finished(self, job):
         """Terminal-transition hook: persist, cache, measure, coordinate."""
@@ -445,16 +437,13 @@ class ReproServer:
 
     def metrics(self):
         """The ``GET /metrics`` document."""
-        fabric = self.config.fabric_port is not None
         return {
             "schema": "repro.serve-metrics/v1",
             "uptime_seconds": round(time.monotonic() - self.started_at, 3),
             "draining": self.draining,
-            "transport": "fabric" if fabric else "pool",
-            "workers": (
-                self.pool.workers() if fabric else self.config.workers
-            ),
-            "fabric_port": self.pool.port if fabric else None,
+            "transport": "local" if self.pool.port is None else "fabric",
+            "workers": self.pool.workers(),
+            "fabric_port": self.pool.port,
             "queue_depth": self.pool.queue_depth(),
             "outstanding": self.pool.outstanding(),
             "shard_parents_pending": self.coordinator.pending(),

@@ -1,12 +1,9 @@
-"""The ``WorkerTransport`` interface: one contract, two transports.
+"""The robustness core of the worker transport.
 
-The server hands jobs to *a transport* and gets terminal transitions
-back; whether the workers are subprocesses fed over pipes
-(:class:`~repro.serve.pool.WorkerPool`) or separate processes — on this
-host or another — connected over TCP
-(:class:`~repro.serve.fabric.FabricPool`) is the transport's business.
-This module holds the machinery both share, because the failure model
-is the same either way:
+The server hands jobs to :class:`~repro.serve.fabric.FabricPool` and
+gets terminal transitions back; whether a job ran on a local pipe child
+or on a TCP worker elsewhere is the pool's business. This base class
+holds the part of the failure model that does not depend on links:
 
 * **admission** — a kind quarantined by the circuit breaker never
   reaches a worker;
@@ -22,11 +19,9 @@ is the same either way:
   job reaches a terminal status exactly once, which the journal's
   ``done`` records and ``--resume`` rely on.
 
-Concrete transports implement ``_enqueue`` (accept one queued job),
-``queue_depth``, ``close``, and optionally ``kick`` (force-requeue a
-straggling job onto another worker — the shard coordinator uses it)
-and ``_requeue_after`` (transports whose delivery path must not block
-override the default sleep-then-enqueue).
+The subclass provides ``_enqueue`` (accept one queued job),
+``_requeue_after`` (re-enqueue after a delay, without blocking the
+delivery path) and ``queue_depth``.
 """
 
 from __future__ import annotations
@@ -38,13 +33,9 @@ from ..runtime import backoff_delay
 from .jobs import CRASHED, DONE, FAILED, QUEUED, QUARANTINED, TIMEOUT
 from .lease import LeaseTable
 
-#: Watchdog/abandon reasons shared by the transports.
-REASON_TIMEOUT = "timeout"
-REASON_CHAOS = "chaos"
-
 
 class WorkerTransport:
-    """Shared robustness core for every worker transport."""
+    """Admission, lease fencing, retries and exactly-once finalization."""
 
     def __init__(
         self,
@@ -57,7 +48,6 @@ class WorkerTransport:
         leases=None,
         store=None,
         on_done=None,
-        sleep=time.sleep,
     ):
         self.watchdog_seconds = watchdog_seconds
         self.retries = retries
@@ -68,7 +58,6 @@ class WorkerTransport:
         self.leases = leases if leases is not None else LeaseTable()
         self.store = store
         self.on_done = on_done or (lambda job: None)
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._outstanding = 0
@@ -104,24 +93,6 @@ class WorkerTransport:
         job.status = QUEUED
         self._enqueue(job)
         self._gauge_depth()
-
-    def _enqueue(self, job):
-        raise NotImplementedError
-
-    def queue_depth(self):
-        raise NotImplementedError
-
-    def close(self):
-        raise NotImplementedError
-
-    def kick(self, job):
-        """Force-requeue a straggling non-terminal job (best effort).
-
-        The default transport has no way to preempt a running attempt
-        (the deadline watchdog already bounds it), so this is a no-op;
-        the TCP fabric re-dispatches the job onto another worker and
-        fences the old lease.
-        """
 
     def outstanding(self):
         with self._lock:
@@ -271,13 +242,3 @@ class WorkerTransport:
             self._requeue_after(job, delay)
             return
         self._finalize(job, status, error=error, error_code=error_code)
-
-    def _requeue_after(self, job, delay):
-        """Re-enqueue *job* after *delay* seconds (blocking by default).
-
-        Transports whose delivery path runs on an event loop override
-        this with a scheduled callback instead of sleeping in place.
-        """
-        self._sleep(delay)
-        self._enqueue(job)
-        self._gauge_depth()

@@ -1,40 +1,28 @@
-"""Worker process: executes jobs for the pool or over the TCP fabric.
+"""Worker process: executes jobs sent over the frame protocol.
 
-Two entry points share one execution core (:func:`run_one`):
+One session (:func:`_serve_connection`) serves both link kinds of
+:mod:`~repro.serve.fabric`: it sends ``hello``, waits for ``welcome``,
+then runs ``job`` frames and answers with ``result`` frames, while a
+side thread sends heartbeats. Two entry points run it:
 
-* :func:`main` — spawned as ``python -m repro.serve.worker`` by the
-  subprocess pool; it first writes one ``{"ready": true}`` line once
-  its imports are done, so interpreter startup is never charged to a
-  job's deadline, then one JSON object per line over stdin/stdout:
+* :func:`main` — ``python -u -m repro.serve.worker``, a server's own
+  local child. One session over stdin/stdout; it returns when the
+  server closes the pipe (EOF) or says ``bye``, and never reconnects.
+  The real stdout carries only frames: fd 1 and ``sys.stdout`` point at
+  stderr, so nothing a job prints can tear one. If the server dies
+  while a job runs, the next heartbeat write fails and the child exits
+  at once, so no local worker outlives its server.
+* :func:`main_tcp` — ``python -m repro worker --connect HOST:PORT
+  --token T``, on this host or another. The same session over a
+  socket, reconnecting with backoff when the link drops.
 
-  request::
-
-      {"id": "j000001", "kind": "check", "params": {...}, "attempt": 1,
-       "epoch": 3}
-
-  response::
-
-      {"id": "j000001", "ok": true, "payload": {...}, "epoch": 3}
-      {"id": "j000001", "ok": false, "error": "...", "error_code": "...",
-       "transient": false, "epoch": 3}
-
-  A worker that hangs simply produces no line; the pool's deadline
-  watchdog SIGKILLs it and the manager thread sees EOF.
-
-* :func:`main_tcp` — started by hand (or CI) as ``python -m repro
-  worker --connect HOST:PORT --token T``; speaks the length-prefixed
-  frame protocol of :mod:`~repro.serve.fabric`, heartbeats from a side
-  thread, and reconnects with backoff when the server goes away. Here
-  there is no babysitting manager, so the worker bounds *itself*: each
-  job runs under the handshake-negotiated deadline via
-  ``SIGALRM``-based :func:`repro.runtime.time_limit`, turning a hang
-  into a transient error frame instead of a silent wedge. The server's
-  own (longer) deadline still covers a worker too wedged to do even
-  that.
-
-Either way, jobs run on this process's *main* thread so the wrapped
+Each job runs on this process's *main* thread, so the wrapped
 subsystems' ``SIGALRM`` limits stay fully functional (repair candidate
-watchdogs, campaign case timeouts).
+watchdogs, campaign case timeouts), under a
+:func:`repro.runtime.time_limit` set to the frame's ``deadline``. That
+deadline is a backstop a little longer than the server's own: the
+server kills the child or cuts the link first, and a worker whose link
+was cut still stops a runaway job.
 
 ``transient`` marks failures worth retrying (wall-clock limits blown by
 a noisy neighbour); deterministic failures — parse errors, unknown
@@ -44,7 +32,6 @@ verbatim: the worker never interprets it, the server fences with it.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import sys
@@ -53,21 +40,17 @@ import time
 
 from ..diag.model import error_code
 from ..runtime import TimeLimitExceeded, time_limit
+from .fabric import PROTO_VERSION, encode_frame, read_frame_blocking
 from .jobs import execute_job
-
-
-def _respond(out, record):
-    out.write(json.dumps(record, sort_keys=True) + "\n")
-    out.flush()
 
 
 def run_one(request, deadline=None):
     """Execute one job request; return the response record.
 
     ``deadline`` (seconds) arms a worker-side :func:`time_limit` around
-    the job — the TCP fabric's self-bounding — so a wedged job becomes
-    a transient error instead of a dead worker. Exits the process for
-    the ``_chaos_exit`` harness fault, exactly like a segfault would.
+    the job, so a wedged job becomes a transient error instead of a
+    dead worker. Exits the process for the ``_chaos_exit`` harness
+    fault, exactly like a segfault would.
     """
     job_id = request.get("id")
     attempt = int(request.get("attempt", 1))
@@ -106,38 +89,18 @@ def run_one(request, deadline=None):
         }
 
 
-def main(stdin=None, stdout=None):
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    _respond(stdout, {"ready": True})
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-        except ValueError:
-            _respond(stdout, {"id": None, "ok": False,
-                              "error": "malformed request",
-                              "error_code": None, "transient": False})
-            continue
-        _respond(stdout, run_one(request))
-
-
-# -- TCP fabric client --------------------------------------------------------
-
-
 class _Heartbeat:
     """Side thread sending heartbeat frames every *interval* seconds.
 
-    Shares the socket with the main thread's result writes through one
-    lock — interleaved frames would tear the length-prefixed stream.
+    *send* is the session's locked frame writer — interleaved frames
+    would tear the length-prefixed stream. When a write fails the link
+    is gone: *on_lost* (if any) runs, and the thread ends.
     """
 
-    def __init__(self, sock, lock, interval):
-        self._sock = sock
-        self._lock = lock
+    def __init__(self, send, interval, on_lost=None):
+        self._send = send
         self._interval = interval
+        self._on_lost = on_lost
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-worker-heartbeat", daemon=True
@@ -150,30 +113,35 @@ class _Heartbeat:
         self._stop.set()
 
     def _run(self):
-        from .fabric import encode_frame
-
-        frame = encode_frame({"type": "heartbeat"})
         while not self._stop.wait(self._interval):
             try:
-                with self._lock:
-                    self._sock.sendall(frame)
+                self._send({"type": "heartbeat"})
             except OSError:
+                if self._on_lost is not None:
+                    self._on_lost()
                 return  # the main loop will notice on its next read
 
 
-def _serve_connection(sock, token, worker_id, log):
-    """One connected session: handshake, then jobs until EOF/bye."""
-    from .fabric import PROTO_VERSION, encode_frame, read_frame_blocking
+def _serve_connection(reader, write, token, worker_id, log, on_lost=None):
+    """One session over a link: handshake, then jobs until EOF or bye.
 
-    reader = sock.makefile("rb")
-    write_lock = threading.Lock()
-    with write_lock:
-        sock.sendall(encode_frame({
-            "type": "hello",
-            "proto": PROTO_VERSION,
-            "token": token,
-            "worker": worker_id,
-        }))
+    *reader* is a blocking binary stream and *write* sends bytes.
+    Returns True when the link ended (a TCP worker reconnects), False
+    when the server dismissed the worker (rejected handshake, ``bye``).
+    """
+    lock = threading.Lock()
+
+    def send(obj):
+        frame = encode_frame(obj)
+        with lock:
+            write(frame)
+
+    send({
+        "type": "hello",
+        "proto": PROTO_VERSION,
+        "token": token,
+        "worker": worker_id,
+    })
     welcome = read_frame_blocking(reader)
     if welcome is None or welcome.get("type") == "reject":
         reason = (welcome or {}).get("error", "connection closed")
@@ -183,30 +151,61 @@ def _serve_connection(sock, token, worker_id, log):
         log("unexpected handshake frame %r" % welcome.get("type"))
         return False
     heartbeat = _Heartbeat(
-        sock, write_lock, float(welcome.get("heartbeat", 2.0)) / 2.0
+        send, float(welcome.get("heartbeat", 2.0)) / 2.0, on_lost
     )
     heartbeat.start()
     try:
         while True:
             frame = read_frame_blocking(reader)
             if frame is None:
-                return True  # server went away: reconnect
+                return True  # the link ended
             kind = frame.get("type")
             if kind == "bye":
                 log("server said bye")
                 return False
-            if kind == "cancel":
-                # Best effort: we only see this between jobs, where
-                # there is nothing left to cancel. The lease fence on
-                # the server makes acting on it optional.
-                continue
-            if kind != "job":
-                continue
-            response = run_one(frame, deadline=frame.get("deadline"))
-            with write_lock:
-                sock.sendall(encode_frame(dict(response, type="result")))
+            # A ``cancel`` arrives only between jobs, where there is
+            # nothing left to cancel; the server's lease fence makes
+            # acting on it optional.
+            if kind == "job":
+                response = run_one(frame, deadline=frame.get("deadline"))
+                send(dict(response, type="result"))
     finally:
         heartbeat.stop()
+
+
+def _stderr_log(worker_id):
+    return lambda msg: print(
+        "[worker %s] %s" % (worker_id, msg), file=sys.stderr, flush=True
+    )
+
+
+def main(stdin=None, stdout=None):
+    """Serve the server that spawned this process over its pipes.
+
+    *stdin*/*stdout* are binary streams; by default the process's own,
+    with the protocol moved off fd 1 (see the module docstring) and an
+    immediate exit when the server goes away mid-job. Returns 0 once
+    the server closes the pipe or says bye.
+    """
+    on_lost = None
+    if stdout is None:
+        stdout = os.fdopen(os.dup(1), "wb")
+        os.dup2(2, 1)
+        sys.stdout = sys.stderr
+        on_lost = lambda: os._exit(0)  # noqa: E731
+    stdin = stdin or sys.stdin.buffer
+
+    def write(frame):
+        stdout.write(frame)
+        stdout.flush()
+
+    worker_id = "pid%d" % os.getpid()
+    try:
+        _serve_connection(stdin, write, "", worker_id,
+                          _stderr_log(worker_id), on_lost)
+    except OSError:
+        pass  # the server went away mid-write
+    return 0
 
 
 def main_tcp(host, port, token="", worker_id=None, max_reconnects=5,
@@ -214,14 +213,12 @@ def main_tcp(host, port, token="", worker_id=None, max_reconnects=5,
     """Run a TCP fabric worker until the server dismisses it.
 
     Reconnects with linear backoff when the connection drops (a server
-    restart, a chaos-cut link); gives up after *max_reconnects*
-    consecutive failed attempts or when the server rejects the
-    handshake / says bye. Returns an exit code.
+    restart, a chaos-cut link, a blown deadline); gives up after
+    *max_reconnects* consecutive failed attempts or when the server
+    rejects the handshake / says bye. Returns an exit code.
     """
-    log = log or (lambda msg: print(
-        "[worker %s] %s" % (worker_id, msg), file=sys.stderr, flush=True
-    ))
     worker_id = worker_id or ("pid%d" % os.getpid())
+    log = log or _stderr_log(worker_id)
     failures = 0
     while True:
         try:
@@ -237,7 +234,9 @@ def main_tcp(host, port, token="", worker_id=None, max_reconnects=5,
         failures = 0
         sock.settimeout(None)
         try:
-            reconnect = _serve_connection(sock, token, worker_id, log)
+            reconnect = _serve_connection(
+                sock.makefile("rb"), sock.sendall, token, worker_id, log
+            )
         except OSError:
             reconnect = True  # connection died mid-session
         finally:
@@ -251,4 +250,4 @@ def main_tcp(host, port, token="", worker_id=None, max_reconnects=5,
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,6 +26,8 @@ import pytest
 
 from repro import obs
 from repro.serve import (
+    ChaosConfig,
+    ChaosMonkey,
     FabricPool,
     FrameError,
     Job,
@@ -41,7 +43,7 @@ from repro.serve import (
     shard_count,
 )
 from repro.serve.fabric import read_frame_blocking
-from repro.serve.jobs import DONE, canonical_json, execute_job
+from repro.serve.jobs import DONE, TIMEOUT, canonical_json, execute_job
 from repro.serve.worker import main_tcp
 
 REPO_SRC = os.path.join(
@@ -385,6 +387,28 @@ class TestFabricPool:
             pool.close()
 
 
+    def test_hung_job_on_tcp_worker_ends_timeout(self):
+        """One deadline rule for every link: the server's watchdog cuts a
+        TCP worker's hung attempt before the worker's own backstop."""
+        pool = FabricPool(port=0, heartbeat_interval=0.2,
+                          watchdog_seconds=0.5, retries=0)
+        proc = spawn_worker_proc(pool.port, name="hung")
+        try:
+            await_workers(pool, 1)
+            job = make_check_job("j000001")
+            job.params["_chaos_hang"] = {"seconds": 30, "attempts": 99}
+            pool.submit(job)
+            assert pool.drain(timeout=30.0)
+            assert job.status == TIMEOUT
+            assert job.error == "watchdog kill after 0.5s"
+            assert job.attempts == 1
+            assert pool.stats_snapshot()["watchdog_kills"] == 1
+        finally:
+            pool.close()
+            proc.kill()
+            proc.wait(timeout=10.0)
+
+
 # ---------------------------------------------------------------------------
 # Lease fencing end to end: the partitioned-worker scenario
 # ---------------------------------------------------------------------------
@@ -498,6 +522,30 @@ class TestLeaseFencing:
             assert job.status == DONE
             await_stat(pool, "stale_rejected", 1)
             worker.close()
+        finally:
+            pool.close()
+
+    def test_dropped_result_frame_requeues_the_attempt(self):
+        """A chaos-dropped result takes its link down; the disconnect
+        must requeue the attempt, not strand the job."""
+        pool = FabricPool(port=0, heartbeat_interval=0.5, retries=1,
+                          backoff=0.01, jitter=0.0,
+                          chaos=ChaosMonkey(ChaosConfig(drop_prob=1.0)))
+        try:
+            first = ScriptedWorker(pool.port, name="first")
+            job = make_fuzz_job("j000001")
+            pool.submit(job)
+            dispatch = first.recv()
+            first.result_for(dispatch)  # dropped, link cut
+            second = ScriptedWorker(pool.port, name="second")
+            redispatch = second.recv()
+            assert redispatch["id"] == job.id
+            assert redispatch["epoch"] == 3  # fenced (2), regranted (3)
+            stats = pool.stats_snapshot()
+            assert stats["chaos_drops"] == 1
+            assert stats["disconnect_requeues"] == 1
+            first.close()
+            second.close()
         finally:
             pool.close()
 

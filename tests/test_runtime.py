@@ -272,7 +272,7 @@ class TestTimeLimitThreading:
         thread.join()
         assert len(failures) == 1
         assert "main thread" in failures[0]
-        assert "DeadlineWatchdog" in failures[0]
+        assert "repro.serve worker process" in failures[0]
 
 
 class TestBackoffJitter:

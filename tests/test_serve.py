@@ -1,8 +1,8 @@
 """Tests for the fault-tolerant job server (repro.serve).
 
 Covers the robustness pieces in isolation (cache, quota, breaker,
-watchdog, chaos monkey, store), the worker pool against real
-subprocess workers, the HTTP API end to end against an in-process
+chaos monkey, store), the worker transport against real local worker
+children, the HTTP API end to end against an in-process
 server, and the chaos acceptance scenario from the issue: a 50-job
 campaign under worker SIGKILLs, injected hangs, corrupted cache
 entries, and a truncated journal, killed halfway and resumed, must
@@ -28,7 +28,7 @@ from repro.serve import (
     ChaosConfig,
     ChaosMonkey,
     CircuitBreaker,
-    DeadlineWatchdog,
+    FabricPool,
     Job,
     JobError,
     JobStore,
@@ -38,7 +38,6 @@ from repro.serve import (
     ServeClientError,
     ServeConfig,
     TokenBucketQuota,
-    WorkerPool,
     job_cache_key,
     payload_digest,
 )
@@ -353,82 +352,6 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Deadline watchdog
-# ---------------------------------------------------------------------------
-
-
-class TestDeadlineWatchdog:
-    def test_fires_after_deadline(self):
-        watchdog = DeadlineWatchdog()
-        fired = []
-        try:
-            watchdog.arm("t1", 0.05, lambda token, reason: fired.append(
-                (token, reason)))
-            deadline = time.monotonic() + 2.0
-            while not fired and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert fired == [("t1", "timeout")]
-            assert watchdog.fired_reason("t1") == "timeout"
-            assert watchdog.fired_reason("t1") is None  # cleared on read
-        finally:
-            watchdog.close()
-
-    def test_disarm_cancels_all_reasons(self):
-        watchdog = DeadlineWatchdog()
-        fired = []
-        try:
-            callback = lambda token, reason: fired.append(reason)  # noqa: E731
-            watchdog.arm("t1", 0.2, callback, "timeout")
-            watchdog.arm("t1", 0.2, callback, "chaos")
-            assert watchdog.pending() == 2
-            watchdog.disarm("t1")
-            assert watchdog.pending() == 0
-            time.sleep(0.3)
-            assert fired == []
-            assert watchdog.fired_reason("t1") is None
-        finally:
-            watchdog.close()
-
-    def test_soonest_reason_wins(self):
-        watchdog = DeadlineWatchdog()
-        fired = []
-        try:
-            callback = lambda token, reason: fired.append(reason)  # noqa: E731
-            watchdog.arm("t1", 5.0, callback, "timeout")
-            watchdog.arm("t1", 0.05, callback, "chaos")
-            deadline = time.monotonic() + 2.0
-            while not fired and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert fired == ["chaos"]
-            assert watchdog.fired_reason("t1") == "chaos"
-        finally:
-            watchdog.close()
-
-    def test_callback_exception_does_not_kill_thread(self):
-        watchdog = DeadlineWatchdog()
-        fired = []
-        try:
-            def explode(token, reason):
-                raise RuntimeError("boom")
-
-            watchdog.arm("bad", 0.01, explode)
-            watchdog.arm("good", 0.05,
-                         lambda token, reason: fired.append(token))
-            deadline = time.monotonic() + 2.0
-            while not fired and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert fired == ["good"]
-        finally:
-            watchdog.close()
-
-    def test_arm_after_close_raises(self):
-        watchdog = DeadlineWatchdog()
-        watchdog.close()
-        with pytest.raises(RuntimeError):
-            watchdog.arm("t1", 1.0, lambda token, reason: None)
-
-
-# ---------------------------------------------------------------------------
 # Chaos monkey
 # ---------------------------------------------------------------------------
 
@@ -572,7 +495,7 @@ class TestJobStore:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool (real subprocess workers)
+# Worker transport with local links (real worker children on pipes)
 # ---------------------------------------------------------------------------
 
 
@@ -582,8 +505,10 @@ def make_job(job_id, kind="check", params=None):
 
 
 class TestWorkerPool:
+    """FabricPool with ``workers=N`` and no listener: local children."""
+
     def test_executes_job_to_done(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=0)
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=0)
         try:
             job = make_job("j000001")
             pool.submit(job)
@@ -595,7 +520,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_deterministic_failure_is_final_without_retry(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=3)
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=3)
         try:
             job = make_job("j000001", kind="profile",
                            params={"bug": "no-such-bug"})
@@ -607,7 +532,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_hung_job_killed_by_watchdog_then_retry_succeeds(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=0.5, retries=2,
+        pool = FabricPool(workers=1, watchdog_seconds=0.5, retries=2,
                           backoff=0.05, jitter=0.0)
         try:
             job = make_job("j000001", params=check_params(
@@ -627,15 +552,15 @@ class TestWorkerPool:
             self, monkeypatch):
         import types
 
-        import repro.serve.pool as pool_module
+        import repro.serve.fabric as fabric_module
 
         false = shutil.which("false")
         if false is None:
             pytest.skip("no `false` executable")
-        # Every spawned "worker" exits before writing its ready line.
-        monkeypatch.setattr(pool_module, "sys",
+        # Every spawned "worker" exits before sending its hello.
+        monkeypatch.setattr(fabric_module, "sys",
                             types.SimpleNamespace(executable=false))
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=1,
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=1,
                           backoff=0.01, jitter=0.0)
         try:
             job = make_job("j000001")
@@ -647,11 +572,15 @@ class TestWorkerPool:
             stats = pool.stats_snapshot()
             assert stats["watchdog_kills"] == 0
             assert stats["worker_restarts"] == 1
+            # No busy respawn loop: with no work waiting, the broken
+            # worker is not started again.
+            time.sleep(0.3)
+            assert pool.stats_snapshot()["worker_restarts"] == 1
         finally:
             pool.close()
 
     def test_permanent_hang_times_out_after_retries(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=0.3, retries=1,
+        pool = FabricPool(workers=1, watchdog_seconds=0.3, retries=1,
                           backoff=0.05, jitter=0.0)
         try:
             job = make_job("j000001", params=check_params(
@@ -665,7 +594,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_worker_crash_requeued_then_succeeds(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=2,
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=2,
                           backoff=0.05, jitter=0.0)
         try:
             job = make_job("j000001", params=check_params(
@@ -678,7 +607,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_persistent_crash_finalizes_crashed(self):
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=1,
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=1,
                           backoff=0.05, jitter=0.0)
         try:
             job = make_job("j000001", params=check_params(
@@ -692,7 +621,7 @@ class TestWorkerPool:
 
     def test_breaker_quarantines_sick_kind(self):
         breaker = CircuitBreaker(threshold=1, cooldown=300.0)
-        pool = WorkerPool(workers=1, watchdog_seconds=30.0, retries=0,
+        pool = FabricPool(workers=1, watchdog_seconds=30.0, retries=0,
                           backoff=0.05, breaker=breaker)
         try:
             crasher = make_job("j000001", params=check_params(
@@ -708,6 +637,104 @@ class TestWorkerPool:
             assert quarantined.attempts == 0  # never reached a worker
         finally:
             pool.close()
+
+
+    def test_worker_main_serves_one_job_over_pipes_and_returns_on_eof(
+            self):
+        from repro.serve.fabric import (
+            PROTO_VERSION,
+            encode_frame,
+            read_frame_blocking,
+        )
+        from repro.serve.worker import main
+
+        down_r, down_w = os.pipe()  # server -> worker
+        up_r, up_w = os.pipe()  # worker -> server
+        worker_in, worker_out = os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb")
+        server_in, server_out = os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb")
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(main(worker_in, worker_out)),
+            daemon=True,
+        )
+        thread.start()
+
+        def send(obj):
+            server_out.write(encode_frame(obj))
+            server_out.flush()
+
+        try:
+            hello = read_frame_blocking(server_in)
+            assert hello["type"] == "hello"
+            assert hello["proto"] == PROTO_VERSION
+            # A long heartbeat keeps the pipe to the job's result frame.
+            send({"type": "welcome", "proto": PROTO_VERSION,
+                  "heartbeat": 60.0, "watchdog": 30.0})
+            send({"type": "job", "id": "j000001", "kind": "check",
+                  "params": check_params(), "attempt": 1, "epoch": 4,
+                  "deadline": 30.0})
+            result = read_frame_blocking(server_in)
+            assert result["type"] == "result"
+            assert result["id"] == "j000001"
+            assert result["ok"] is True
+            assert result["epoch"] == 4
+            assert result["payload"]["schema"] == "repro.diag/v1"
+            server_out.close()  # EOF: the server went away
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert codes == [0]
+        finally:
+            for stream in (worker_in, server_out, server_in, worker_out):
+                try:
+                    stream.close()
+                except OSError:
+                    pass
+
+    def test_server_without_fabric_port_opens_no_tcp_listener(
+            self, tmp_path):
+        if not os.path.exists("/proc/self/net/tcp"):
+            pytest.skip("needs Linux /proc")
+        before = listening_tcp_ports()
+        config = ServeConfig(
+            port=0, workers=1, watchdog=30.0, retries=0,
+            cache_dir=str(tmp_path / "cache"),
+            journal_path=str(tmp_path / "journal.jsonl"), quota_rate=0.0,
+        )
+        server = ReproServer(config).start_background()
+        try:
+            client = ServeClient("http://127.0.0.1:%d" % server.port)
+            detail = client.run("check", check_params(), timeout=60.0)
+            assert detail["status"] == DONE  # a local child served it
+            assert listening_tcp_ports() - before == {server.port}
+            metrics = client.metrics()
+            assert metrics["transport"] == "local"
+            assert metrics["fabric_port"] is None
+        finally:
+            server.shutdown()
+
+
+def listening_tcp_ports():
+    """TCP ports this process listens on (Linux ``/proc``)."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink("/proc/self/fd/%s" % fd)
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    ports = set()
+    for table in ("/proc/self/net/tcp", "/proc/self/net/tcp6"):
+        try:
+            with open(table) as handle:
+                rows = handle.read().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            fields = row.split()
+            if fields[3] == "0A" and fields[9] in inodes:  # 0A: LISTEN
+                ports.add(int(fields[1].rsplit(":", 1)[1], 16))
+    return ports
 
 
 # ---------------------------------------------------------------------------
