@@ -4,6 +4,12 @@ Produces a flat list of :class:`Token` objects. Comments (``//`` and
 ``/* */``) and whitespace are skipped; line *and column* numbers are
 tracked for diagnostics and for mapping instrumentation back to source.
 
+One regex match yields one token: the pattern's leading group swallows
+the whitespace and comments before it, so skipped text costs no match
+of its own. Lines are counted with ``str.count`` over the text between
+one token's start and the next, which also counts the newlines inside
+a string literal.
+
 Error handling has two modes:
 
 * legacy (no sink): the first bad character raises :class:`LexerError`,
@@ -39,17 +45,22 @@ _OPERATORS = [
     "=", "?", ":", ",", ";", ".", "#", "(", ")", "[", "]", "{", "}", "@", "'",
 ]
 
+# Token alternatives are tried in order (first match wins). ``bad`` takes
+# any other character, so the token group matches nothing only at the
+# end of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<sized>[0-9_]*'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
-  | (?P<real>\d[\d_]*\.\d[\d_]*)
-  | (?P<number>\d[\d_]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>\$?[A-Za-z_][A-Za-z0-9_$\.]*)
-  | (?P<op>%s)
-  | (?P<ws>\s+)
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:
+      (?P<sized>[0-9_]*'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
+    | (?P<real>\d[\d_]*\.\d[\d_]*)
+    | (?P<number>\d[\d_]*)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<sysname>\$[A-Za-z_][A-Za-z0-9_$\.]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$\.]*)
+    | (?P<op>%s)
+    | (?P<bad>.)
+    )?
     """
     % "|".join(re.escape(op) for op in _OPERATORS),
     re.VERBOSE | re.DOTALL,
@@ -143,53 +154,56 @@ def tokenize(text, filename="<input>", sink=None):
     reported into the sink and skipped, and the (partial) token list is
     returned.
     """
-    strict = sink is None
-    if strict:
-        sink = DiagnosticSink()
     tokens = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     lineno = 1
     line_start = 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        raw = match.group()
-        col = match.start() - line_start + 1
-
-        def fail(code, message):
-            span = SourceSpan(file=filename, line=lineno, col=col)
-            diagnostic = sink.error(code, message, span)
-            if strict:
-                raise LexerError(
-                    diagnostic.format(), code=code, diagnostics=[diagnostic]
-                )
-
-        if kind == "bad":
-            fail("P0101", "unexpected character %r" % raw)
-        elif kind == "sized":
-            value, width, signed = _parse_sized_number(raw)
-            tokens.append(
-                Token("number", raw, lineno, value, width, signed, col=col)
-            )
-        elif kind == "real":
-            fail("P0102", "real literal %r unsupported" % raw)
-        elif kind == "number":
-            tokens.append(
-                Token("number", raw, lineno, int(raw.replace("_", "")), col=col)
-            )
-        elif kind == "string":
-            tokens.append(
-                Token("string", _unescape_string(raw[1:-1]), lineno, col=col)
-            )
-        elif kind == "ident":
-            if raw.startswith("$"):
-                tokens.append(Token("sysname", raw, lineno, col=col))
-            elif raw in KEYWORDS:
-                tokens.append(Token("keyword", raw, lineno, col=col))
-            else:
-                tokens.append(Token("ident", raw, lineno, col=col))
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token("op", raw, lineno, col=col))
-        newlines = raw.count("\n")
+    # Newlines are counted from the previous token's start, so a string
+    # literal's own newlines are counted before the token after it.
+    last = 0
+    pos = 0
+    while True:
+        found = match(text, pos)
+        kind = found.lastgroup
+        if kind is None:
+            return tokens
+        pos = found.end()
+        raw = found.group(kind)
+        start = pos - len(raw)
+        newlines = text.count("\n", last, start)
         if newlines:
             lineno += newlines
-            line_start = match.start() + raw.rfind("\n") + 1
-    return tokens
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        col = start - line_start + 1
+        if kind == "ident" or kind == "op" or kind == "sysname":
+            if kind == "ident" and raw in KEYWORDS:
+                kind = "keyword"
+            append(Token(kind, raw, lineno, 0, None, False, col))
+        elif kind == "number":
+            value = int(raw.replace("_", ""))
+            append(Token(kind, raw, lineno, value, None, False, col))
+        elif kind == "sized":
+            value, width, signed = _parse_sized_number(raw)
+            append(Token("number", raw, lineno, value, width, signed, col))
+        elif kind == "string":
+            value = _unescape_string(raw[1:-1])
+            append(Token(kind, value, lineno, 0, None, False, col))
+        elif kind == "real":
+            _lex_error(sink, "P0102", "real literal %r unsupported" % raw,
+                       filename, lineno, col)
+        else:
+            _lex_error(sink, "P0101", "unexpected character %r" % raw,
+                       filename, lineno, col)
+
+
+def _lex_error(sink, code, message, filename, lineno, col):
+    """Report a lexical error: into *sink*, or (strict mode, no sink) as
+    a raised :class:`LexerError`."""
+    span = SourceSpan(file=filename, line=lineno, col=col)
+    if sink is not None:
+        sink.error(code, message, span)
+        return
+    diagnostic = DiagnosticSink().error(code, message, span)
+    raise LexerError(diagnostic.format(), code=code, diagnostics=[diagnostic])

@@ -17,6 +17,11 @@ single run reports every error in a file. With no caller-provided sink,
 finishes with errors; with a :class:`~repro.diag.DiagnosticSink` it
 returns the partial AST and leaves the reporting to the caller.
 
+Binary expressions are parsed by precedence climbing over one
+operator -> level table (:data:`_BINARY_LEVELS`): one call per operand,
+not one per precedence level. An EOF sentinel ends the token list, so
+every lookahead is a single index.
+
 Entry point: :func:`parse` (text -> :class:`repro.hdl.ast_nodes.Source`).
 """
 
@@ -60,54 +65,65 @@ _BINARY_LEVELS = [
     ["*", "/", "%"],
 ]
 
+#: Operator -> index of its level in :data:`_BINARY_LEVELS`.
+_BINARY_PRECEDENCE = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
 
 class _Parser:
     def __init__(self, tokens, filename="<input>", sink=None, eof_line=None):
-        self._tokens = tokens
-        self._pos = 0
         self._filename = filename
         self._sink = sink if sink is not None else DiagnosticSink()
         if tokens:
             last = tokens[-1]
-            self._eof_token = Token(
+            eof_token = Token(
                 "eof", "<eof>", last.lineno, col=last.col + len(last.text)
             )
         else:
             # Empty token list (blank or comment-only input): the EOF
             # token still points at the last real source line, not 0.
-            self._eof_token = Token("eof", "<eof>", eof_line or 1, col=1)
+            eof_token = Token("eof", "<eof>", eof_line or 1, col=1)
+        # EOF sentinels end the list, so every lookahead is one index:
+        # the position never passes the first, and ``ahead=1`` from it
+        # lands on the second.
+        self._tokens = list(tokens) + [eof_token, eof_token]
+        self._eof_pos = len(tokens)
+        self._pos = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self, ahead=0):
-        index = self._pos + ahead
-        if index < len(self._tokens):
-            return self._tokens[index]
-        return self._eof_token
+    def _peek(self):
+        return self._tokens[self._pos]
 
     def _next(self):
-        token = self._peek()
-        self._pos += 1
+        token = self._tokens[self._pos]
+        if self._pos < self._eof_pos:
+            self._pos += 1
         return token
 
     def _at(self, kind, text=None, ahead=0):
-        token = self._peek(ahead)
+        token = self._tokens[self._pos + ahead]
         return token.kind == kind and (text is None or token.text == text)
 
     def _accept(self, kind, text=None):
-        if self._at(kind, text):
-            return self._next()
+        # Never asked for "eof", so a match is never the sentinel.
+        token = self._tokens[self._pos]
+        if token.kind == kind and (text is None or token.text == text):
+            self._pos += 1
+            return token
         return None
 
     def _expect(self, kind, text=None):
-        token = self._peek()
-        if not self._at(kind, text):
+        token = self._tokens[self._pos]
+        if token.kind != kind or (text is not None and token.text != text):
             self._error(
                 "P0201",
                 "expected %r, got %r" % (text or kind, token.text),
                 token,
             )
-        return self._next()
+        self._pos += 1
+        return token
 
     # -- diagnostics and recovery -----------------------------------------
 
@@ -605,16 +621,22 @@ class _Parser:
             return ast.Ternary(cond=cond, iftrue=iftrue, iffalse=iffalse)
         return cond
 
-    def _parse_binary(self, level):
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind == "op" and self._peek().text in ops:
-            op = self._next().text
+    def _parse_binary(self, min_level):
+        """Precedence climbing: fold every binary operator of level
+        *min_level* or tighter. The right operand takes only tighter
+        operators (``level + 1``), so each level associates left."""
+        left = self._parse_unary()
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            if token.kind != "op":
+                return left
+            level = _BINARY_PRECEDENCE.get(token.text)
+            if level is None or level < min_level:
+                return left
+            self._pos += 1
             right = self._parse_binary(level + 1)
-            left = ast.BinaryOp(op=op, left=left, right=right)
-        return left
+            left = ast.BinaryOp(op=token.text, left=left, right=right)
 
     def _parse_unary(self):
         token = self._peek()

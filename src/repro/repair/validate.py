@@ -10,7 +10,10 @@ not a repair).
 Every run traces all signals, so the same simulation that validates a
 candidate also produces the :class:`~repro.wave.trace.Trace` the
 ranking stage diffs against the fixed reference — one simulation per
-candidate, not two.
+candidate, not two. Only a passing run's trace carries clock-domain
+tags: only passing candidates are ranked, and the tags (a signal-graph
+build per design) would otherwise be inferred for the hundreds of
+failing candidates of a search, which nothing reads.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ def run_scenario_on_text(bug_id, text, watchdog=DEFAULT_WATCHDOG,
     """Parse, elaborate, and replay *bug_id*'s scenario on *text*.
 
     Returns a :class:`ValidationResult`; its ``trace`` is populated for
-    every run that simulated to completion (pass or fail alike).
+    every run that simulated to completion, pass or fail. A failing
+    run's trace has no clock-domain tags: it is never ranked, so its
+    signal graph is not built.
     """
     spec = SPECS[bug_id]
     try:
@@ -110,12 +115,12 @@ def run_scenario_on_text(bug_id, text, watchdog=DEFAULT_WATCHDOG,
             cycles=sim.cycle,
         )
     symptoms = _symptom_tuple(observation)
+    passed = not observation.failed
     trace = Trace.from_simulator(
-        sim, label=label or "%s:candidate" % bug_id
+        sim, label=label or "%s:candidate" % bug_id, with_domains=passed
     )
     return ValidationResult(
-        status=STATUS_PASSED if not observation.failed
-        else STATUS_SYMPTOMATIC,
+        status=STATUS_PASSED if passed else STATUS_SYMPTOMATIC,
         symptoms=symptoms,
         cycles=sim.cycle,
         trace=trace,

@@ -731,6 +731,13 @@ def boot_fabric_worker(fabric_port, name):
     )
 
 
+def reap(proc):
+    """Kill *proc* if it still runs, then wait for it and close its pipe."""
+    with proc:
+        if proc.poll() is None:
+            proc.kill()
+
+
 def stop_server(proc, timeout=60.0):
     proc.send_signal(signal.SIGTERM)
     out = proc.stdout.read()
@@ -754,8 +761,7 @@ class TestDistributedChaosAcceptance:
             out = stop_server(proc_ref)
             assert proc_ref.returncode == 0, out
         finally:
-            if proc_ref.poll() is None:
-                proc_ref.kill()
+            reap(proc_ref)
         report_ref = os.path.join(tmp, "ref", "report.json")
 
         # -- The gauntlet: 4-way sharded over 3 TCP workers, all four ----
@@ -781,16 +787,15 @@ class TestDistributedChaosAcceptance:
             assert proc.returncode == 0, out
             assert "drained cleanly" in out
         finally:
-            if proc.poll() is None:
-                proc.kill()
-            for worker in workers:
-                if worker.poll() is None:
-                    worker.kill()
+            for child in [proc] + workers:
+                reap(child)
         report_chaos = os.path.join(tmp, "chaos", "report.json")
 
         # -- The payoff: byte-identical reports, exactly-once work. ------
-        bytes_ref = open(report_ref, "rb").read()
-        bytes_chaos = open(report_chaos, "rb").read()
+        with open(report_ref, "rb") as handle:
+            bytes_ref = handle.read()
+        with open(report_chaos, "rb") as handle:
+            bytes_chaos = handle.read()
         assert bytes_ref == bytes_chaos
         report = json.loads(bytes_chaos)
         assert report["counts"] == {"done": 1}
@@ -800,14 +805,15 @@ class TestDistributedChaosAcceptance:
         # with no overlap.
         journal = os.path.join(tmp, "chaos", "journal.jsonl")
         spans = []
-        for line in open(journal):
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record.get("event") == "submit" and record.get("shard"):
-                params = record["params"]
-                spans.append(range(params["start"],
-                                   params["start"] + params["cases"]))
+        with open(journal) as handle:
+            for line in handle:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if record.get("event") == "submit" and record.get("shard"):
+                    params = record["params"]
+                    spans.append(range(params["start"],
+                                       params["start"] + params["cases"]))
         covered = sorted(index for span in spans for index in span)
         assert covered == list(range(50))

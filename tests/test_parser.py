@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.diag import DiagnosticSink
 from repro.hdl import ast, parse, parse_expression, parse_module, parse_statement
-from repro.hdl.parser import ParseError
+from repro.hdl.lexer import LexerError
+from repro.hdl.parser import _BINARY_LEVELS, ParseError
 
 
 class TestExpressions:
@@ -258,3 +260,102 @@ class TestModules:
     def test_missing_semicolon_raises(self):
         with pytest.raises(ParseError):
             parse_module("module m (input wire c) endmodule")
+
+
+def grouped(expr):
+    """*expr* fully parenthesized, to read off precedence and grouping."""
+    if isinstance(expr, ast.BinaryOp):
+        return "(%s %s %s)" % (grouped(expr.left), expr.op, grouped(expr.right))
+    if isinstance(expr, ast.UnaryOp):
+        return "(%s%s)" % (expr.op, grouped(expr.operand))
+    if isinstance(expr, ast.Ternary):
+        return "(%s ? %s : %s)" % (
+            grouped(expr.cond), grouped(expr.iftrue), grouped(expr.iffalse)
+        )
+    if isinstance(expr, ast.Identifier):
+        return expr.name
+    return repr(expr)
+
+
+ALL_BINARY_OPS = [op for level in _BINARY_LEVELS for op in level]
+
+
+class TestPrecedenceAndAssociativity:
+    @pytest.mark.parametrize("op", ALL_BINARY_OPS)
+    def test_every_operator_is_left_associative(self, op):
+        text = "a {0} b {0} c {0} d".format(op)
+        assert grouped(parse_expression(text)) == "(((a {0} b) {0} c) {0} d)".format(op)
+
+    @pytest.mark.parametrize("level", range(len(_BINARY_LEVELS) - 1))
+    def test_each_level_binds_looser_than_the_next(self, level):
+        for low in _BINARY_LEVELS[level]:
+            for high in _BINARY_LEVELS[level + 1]:
+                assert grouped(parse_expression("a %s b %s c" % (low, high))) == (
+                    "(a %s (b %s c))" % (low, high)
+                )
+                assert grouped(parse_expression("a %s b %s c" % (high, low))) == (
+                    "((a %s b) %s c)" % (high, low)
+                )
+
+    def test_same_level_operators_mix_left_to_right(self):
+        assert grouped(parse_expression("a + b - c + d")) == "(((a + b) - c) + d)"
+        assert grouped(parse_expression("a ^ b ~^ c ^~ d")) == "(((a ^ b) ~^ c) ^~ d)"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a - b - c", "((a - b) - c)"),
+        ("a << b + c", "(a << (b + c))"),
+        ("a == b & c", "((a == b) & c)"),
+        ("a ^~ b | c", "((a ^~ b) | c)"),
+        ("a || b && c | d ^ e & f == g < h << i + j * k",
+         "(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))))"),
+        ("a * b + c << d < e == f & g ^ h | i && j || k",
+         "((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k)"),
+        ("-a * ~b", "((-a) * (~b))"),
+        ("&a | !b", "((&a) | (!b))"),
+        ("a + (b - c) * d", "(a + ((b - c) * d))"),
+    ])
+    def test_grouping(self, text, expected):
+        assert grouped(parse_expression(text)) == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a ? b : c ? d : e", "(a ? b : (c ? d : e))"),
+        ("a ? b ? c : d : e", "(a ? (b ? c : d) : e)"),
+        ("a || b ? c + d : e", "((a || b) ? (c + d) : e)"),
+        ("a ? b ? c : d : e ? f : g", "(a ? (b ? c : d) : (e ? f : g))"),
+    ])
+    def test_nested_ternaries(self, text, expected):
+        assert grouped(parse_expression(text)) == expected
+
+
+class TestFrontEndErrorPositions:
+    """``P0101``/``P0102`` from :func:`parse`, strict and sink modes."""
+
+    TEXT = "module m (input wire c);\n  wire x = 1.5;\n  ` assign c = 0;\nendmodule"
+
+    def test_strict_raises_the_first_lexical_error(self):
+        with pytest.raises(LexerError) as info:
+            parse(self.TEXT, filename="t.v")
+        assert info.value.code == "P0102"
+        assert str(info.value) == "t.v:2:12: error[P0102]: real literal '1.5' unsupported"
+
+    def test_sink_reports_both_with_positions(self):
+        sink = DiagnosticSink()
+        parse(self.TEXT, filename="t.v", sink=sink)
+        lexical = [(d.code, d.span.line, d.span.col) for d in sink
+                   if d.code.startswith("P01")]
+        assert lexical == [("P0102", 2, 12), ("P0101", 3, 3)]
+
+    def test_eof_error_points_past_the_last_token(self):
+        sink = DiagnosticSink()
+        parse("module m (input wire c)\n  ", filename="t.v", sink=sink)
+        assert [d.format() for d in sink] == [
+            "t.v:1:24: error[P0201]: expected ';', got '<eof>'"
+        ]
+        with pytest.raises(ParseError) as info:
+            parse("module m (input wire c)", filename="t.v")
+        assert str(info.value) == "t.v:1:24: error[P0201]: expected ';', got '<eof>'"
+
+    def test_empty_input_eof_is_on_the_last_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_expression("\n\n// nothing")
+        assert str(info.value).startswith("<input>:3:1: ")

@@ -277,6 +277,18 @@ class TestValidation:
         )
         assert result.status == "elaborate-error"
 
+    def test_only_passing_traces_carry_domain_tags(self, d13_outcome):
+        # Only passing candidates are ranked; a failing run skips the
+        # signal graph that domain inference builds.
+        from repro.repair.validate import validate_candidate
+
+        baseline = baseline_result("D13")
+        assert not any(s.domains for s in baseline.trace.signals.values())
+        best = d13_outcome.report["best"]["candidate"]
+        result = validate_candidate("D13", d13_outcome.patches[best], baseline)
+        assert result.passed
+        assert any(s.domains for s in result.trace.signals.values())
+
 
 @pytest.fixture(scope="module")
 def d13_outcome():

@@ -56,6 +56,11 @@ endmodule
 TINY_LATCH = TINY.replace("else q <= q + 1;", "")
 
 
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def check_params(source=TINY, **extra):
     params = {"source": source, "filename": "tiny.v"}
     params.update(extra)
@@ -449,7 +454,7 @@ class TestJobStore:
         second = str(tmp_path / "b.json")
         store.write_final_report(first)
         store.write_final_report(second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert read_bytes(first) == read_bytes(second)
 
     def test_resume_applies_first_done_and_counts_duplicates(
         self, tmp_path
@@ -1050,6 +1055,13 @@ def await_all_terminal(client, count, timeout=120.0):
     raise AssertionError("campaign did not converge in %.0fs" % timeout)
 
 
+def reap(proc):
+    """Kill *proc* if it still runs, then wait for it and close its pipe."""
+    with proc:
+        if proc.poll() is None:
+            proc.kill()
+
+
 def graceful_stop(proc, timeout=60.0):
     proc.send_signal(signal.SIGTERM)
     out = proc.stdout.read()
@@ -1080,8 +1092,7 @@ class TestChaosAcceptance:
             assert proc_a.returncode == 0, out
             assert "drained cleanly" in out
         finally:
-            if proc_a.poll() is None:
-                proc_a.kill()
+            reap(proc_a)
         report_a = os.path.join(tmp, "a", "report.json")
         assert os.path.exists(report_a)
 
@@ -1095,8 +1106,7 @@ class TestChaosAcceptance:
             proc_b.kill()  # SIGKILL: no drain, no report
             proc_b.wait(timeout=30.0)
         finally:
-            if proc_b.poll() is None:
-                proc_b.kill()
+            reap(proc_b)
         assert not os.path.exists(os.path.join(tmp, "b", "report.json"))
 
         # Data-at-rest chaos while the server is down: corrupt one cache
@@ -1124,13 +1134,12 @@ class TestChaosAcceptance:
             out = graceful_stop(proc_r)
             assert proc_r.returncode == 0, out
         finally:
-            if proc_r.poll() is None:
-                proc_r.kill()
+            reap(proc_r)
 
         # -- The payoff: byte-identical final reports. --------------------
         report_b = os.path.join(tmp, "b", "report.json")
-        bytes_a = open(report_a, "rb").read()
-        bytes_b = open(report_b, "rb").read()
+        bytes_a = read_bytes(report_a)
+        bytes_b = read_bytes(report_b)
         assert bytes_a == bytes_b
         report = json.loads(bytes_a)
         assert report["counts"] == {"done": 50}
